@@ -12,6 +12,9 @@ cmake --preset default
 cmake --build --preset default -j"$(nproc)"
 ctest --preset default -j"$(nproc)"
 
+echo "== build check: scoped -fcx-limited-range (GCC) =="
+scripts/check_cx_range.sh build
+
 have_python=1
 command -v python3 > /dev/null || have_python=0
 check_json() {

@@ -19,6 +19,12 @@ std::uint32_t bin_distance(std::uint32_t a, std::uint32_t b, std::uint32_t n) {
   std::uint32_t d = (a >= b) ? a - b : b - a;
   return std::min(d, n - d);
 }
+
+/// The paper's up/down detector: the base chirp whose dechirped FFT peak
+/// stands higher gives the direction.
+ChirpDirection direction_of(double up_db, double down_db) {
+  return up_db >= down_db ? ChirpDirection::kUp : ChirpDirection::kDown;
+}
 }  // namespace
 
 Demodulator::Demodulator(LoraParams params, Hertz sample_rate,
@@ -71,12 +77,13 @@ dsp::Samples Demodulator::condition(std::span<const dsp::Complex> rf) const {
 }
 
 std::pair<std::size_t, double> Demodulator::dechirp_peak(
-    std::span<const dsp::Complex> window, const dsp::Samples& base) const {
+    std::span<const dsp::Complex> window, const dsp::Samples& base,
+    std::span<dsp::Complex> scratch) const {
   obs::ProfileScope prof{"lora_dechirp"};
   const std::size_t n = params_.chips();
   if (window.size() < n)
     throw std::invalid_argument("dechirp_peak: window too small");
-  dsp::Samples prod(n);
+  std::span<dsp::Complex> prod = scratch.first(n);
   for (std::size_t i = 0; i < n; ++i)
     prod[i] = window[i] * std::conj(base[i]);
   fft_.forward(prod);
@@ -100,29 +107,32 @@ std::pair<std::size_t, double> Demodulator::dechirp_peak(
 
 std::uint32_t Demodulator::demodulate_symbol(
     std::span<const dsp::Complex> window) const {
-  return static_cast<std::uint32_t>(dechirp_peak(window, base_up_).first);
+  dsp::Samples scratch(params_.chips());
+  return static_cast<std::uint32_t>(
+      dechirp_peak(window, base_up_, scratch).first);
 }
 
 ChirpDirection Demodulator::detect_direction(
     std::span<const dsp::Complex> window) const {
-  auto [up_bin, up_db] = dechirp_peak(window, base_up_);
-  auto [down_bin, down_db] = dechirp_peak(window, base_down_);
-  (void)up_bin;
-  (void)down_bin;
-  return up_db >= down_db ? ChirpDirection::kUp : ChirpDirection::kDown;
+  dsp::Samples scratch(params_.chips());
+  double up_db = dechirp_peak(window, base_up_, scratch).second;
+  double down_db = dechirp_peak(window, base_down_, scratch).second;
+  return direction_of(up_db, down_db);
 }
 
 double Demodulator::peak_to_mean(std::span<const dsp::Complex> window) const {
-  return dechirp_peak(window, base_up_).second;
+  dsp::Samples scratch(params_.chips());
+  return dechirp_peak(window, base_up_, scratch).second;
 }
 
 bool Demodulator::channel_activity(std::span<const dsp::Complex> conditioned,
                                    double threshold_db) const {
   const std::size_t n = params_.chips();
+  dsp::Samples scratch(n);
   for (std::size_t k = 0; k < 2; ++k) {
     if ((k + 1) * n > conditioned.size()) break;
-    if (dechirp_peak(conditioned.subspan(k * n, n), base_up_).second >
-        threshold_db)
+    if (dechirp_peak(conditioned.subspan(k * n, n), base_up_, scratch)
+            .second > threshold_db)
       return true;
   }
   return false;
@@ -132,12 +142,15 @@ std::vector<std::uint32_t> Demodulator::demodulate_aligned(
     std::span<const dsp::Complex> conditioned, std::size_t offset,
     std::size_t count) const {
   const std::size_t n = params_.chips();
+  dsp::Samples scratch(n);
   std::vector<std::uint32_t> out;
   out.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     std::size_t start = offset + k * n;
     if (start + n > conditioned.size()) break;
-    out.push_back(demodulate_symbol(conditioned.subspan(start, n)));
+    out.push_back(static_cast<std::uint32_t>(
+        dechirp_peak(conditioned.subspan(start, n), base_up_, scratch)
+            .first));
   }
   return out;
 }
@@ -148,32 +161,32 @@ std::optional<Demodulator::SyncInfo> Demodulator::synchronize(
   const auto nu = static_cast<std::uint32_t>(n);
   if (conditioned.size() < n * 8) return std::nullopt;
 
+  dsp::Samples scratch(n);
+
   // Step 1: coarse scan — consecutive windows with a consistent peak bin
-  // mark the preamble; the consensus bin IS the timing offset tau.
+  // mark the preamble; the consensus bin IS the timing offset tau. Each
+  // window is dechirped only when the scan reaches it, so the scan stops
+  // paying at the first run.
   const std::size_t window_count = conditioned.size() / n;
   // We need most of the preamble still ahead after the run is found.
   const int needed_run = std::max(4, params_.preamble_symbols - 4);
 
-  std::vector<std::uint32_t> bins(window_count);
-  std::vector<double> ratios(window_count);
-  for (std::size_t k = 0; k < window_count; ++k) {
-    auto [bin, db] = dechirp_peak(conditioned.subspan(k * n, n), base_up_);
-    bins[k] = static_cast<std::uint32_t>(bin);
-    ratios[k] = db;
-  }
-
   std::size_t run_start = 0;
+  std::uint32_t run_bin = 0;
   int run_len = 0;
   std::optional<std::size_t> found;
   for (std::size_t k = 0; k < window_count; ++k) {
-    bool extend = run_len > 0 &&
-                  bin_distance(bins[k], bins[run_start], nu) <= 1 &&
-                  ratios[k] > kDetectThresholdDb;
+    auto [peak, db] =
+        dechirp_peak(conditioned.subspan(k * n, n), base_up_, scratch);
+    const auto bin = static_cast<std::uint32_t>(peak);
+    bool extend = run_len > 0 && bin_distance(bin, run_bin, nu) <= 1 &&
+                  db > kDetectThresholdDb;
     if (extend) {
       ++run_len;
     } else {
       run_start = k;
-      run_len = ratios[k] > kDetectThresholdDb ? 1 : 0;
+      run_bin = bin;
+      run_len = db > kDetectThresholdDb ? 1 : 0;
     }
     if (run_len >= needed_run) {
       found = run_start;
@@ -182,7 +195,7 @@ std::optional<Demodulator::SyncInfo> Demodulator::synchronize(
   }
   if (!found) return std::nullopt;
 
-  std::uint32_t tau = bins[*found];
+  std::uint32_t tau = run_bin;
   std::size_t aligned = *found * n + ((nu - tau) % nu);
 
   // Step 2: walk aligned symbols — preamble (bin 0), sync word, SFD.
@@ -195,34 +208,38 @@ std::optional<Demodulator::SyncInfo> Demodulator::synchronize(
 
   std::size_t idx = 0;
   double best_ratio = 0.0;
-  // Skip remaining preamble symbols (peak near 0).
-  while (windows_remaining(idx)) {
-    auto [bin, db] = dechirp_peak(window_at(idx), base_up_);
-    if (bin_distance(static_cast<std::uint32_t>(bin), 0, nu) > 2) break;
+  // Skip remaining preamble symbols (peak near 0). The window that stops
+  // the walk is the first sync-word symbol; its bin is checked below.
+  std::uint32_t bin = 0;
+  for (;; ++idx) {
+    if (!windows_remaining(idx)) return std::nullopt;
+    auto [peak, db] = dechirp_peak(window_at(idx), base_up_, scratch);
+    bin = static_cast<std::uint32_t>(peak);
+    if (bin_distance(bin, 0, nu) > 2) break;
     best_ratio = std::max(best_ratio, db);
-    ++idx;
-    if (idx > static_cast<std::size_t>(params_.preamble_symbols) + 4)
+    if (idx + 1 > static_cast<std::size_t>(params_.preamble_symbols) + 4)
       return std::nullopt;  // never saw the sync word
   }
 
   // Sync word: two symbols at the expected shifts (tolerance +-2 bins).
   const std::uint32_t mask = nu - 1;
-  for (std::uint32_t expected : {kSyncSymbol1 & mask, kSyncSymbol2 & mask}) {
-    if (!windows_remaining(idx)) return std::nullopt;
-    auto [bin, db] = dechirp_peak(window_at(idx), base_up_);
-    (void)db;
-    if (bin_distance(static_cast<std::uint32_t>(bin), expected, nu) > 2)
-      return std::nullopt;
-    ++idx;
-  }
-
-  // SFD: downchirps. Verify direction and estimate CFO from the downchirp
-  // peak (bin_down ~ 2*cfo after timing alignment).
+  if (bin_distance(bin, kSyncSymbol1 & mask, nu) > 2) return std::nullopt;
+  ++idx;
   if (!windows_remaining(idx)) return std::nullopt;
-  if (detect_direction(window_at(idx)) != ChirpDirection::kDown)
+  bin = static_cast<std::uint32_t>(
+      dechirp_peak(window_at(idx), base_up_, scratch).first);
+  if (bin_distance(bin, kSyncSymbol2 & mask, nu) > 2) return std::nullopt;
+  ++idx;
+
+  // SFD: downchirps. One up/down dechirp pair verifies the direction and
+  // estimates CFO from the downchirp peak (bin_down ~ 2*cfo after timing
+  // alignment).
+  if (!windows_remaining(idx)) return std::nullopt;
+  const double up_db = dechirp_peak(window_at(idx), base_up_, scratch).second;
+  auto [down_bin, down_db] =
+      dechirp_peak(window_at(idx), base_down_, scratch);
+  if (direction_of(up_db, down_db) != ChirpDirection::kDown)
     return std::nullopt;
-  auto [down_bin, down_db] = dechirp_peak(window_at(idx), base_down_);
-  (void)down_db;
   auto signed_bin = static_cast<double>(down_bin);
   if (signed_bin > static_cast<double>(n) / 2.0)
     signed_bin -= static_cast<double>(n);
@@ -239,7 +256,13 @@ std::optional<Demodulator::SyncInfo> Demodulator::synchronize(
 std::optional<DemodResult> Demodulator::receive(
     std::span<const dsp::Complex> rf,
     std::optional<std::size_t> implicit_length) const {
-  dsp::Samples cond = condition(rf);
+  // At critical sampling condition() is a plain copy; read `rf` in place.
+  dsp::Samples filtered;
+  std::span<const dsp::Complex> cond = rf;
+  if (oversampling_ != 1) {
+    filtered = condition(rf);
+    cond = filtered;
+  }
   auto sync = synchronize(cond);
   if (!sync) return std::nullopt;
 

@@ -87,8 +87,13 @@ class Demodulator {
       std::span<const dsp::Complex> conditioned) const;
 
  private:
+  /// Dechirp `window` against `base` into `scratch` (2^SF samples), FFT it
+  /// and return the peak bin and its peak-to-mean ratio (dB). The scratch
+  /// is caller-owned because one const Demodulator is shared across sweep
+  /// workers; each synchronize/demodulate_aligned call allocates it once.
   [[nodiscard]] std::pair<std::size_t, double> dechirp_peak(
-      std::span<const dsp::Complex> window, const dsp::Samples& base) const;
+      std::span<const dsp::Complex> window, const dsp::Samples& base,
+      std::span<dsp::Complex> scratch) const;
 
   LoraParams params_;
   Hertz sample_rate_;

@@ -21,20 +21,30 @@ class Modulator {
   /// Full packet waveform for a payload.
   [[nodiscard]] dsp::Samples modulate(std::span<const std::uint8_t> payload) const;
 
+  /// Append the full packet waveform for a payload to `out`.
+  void modulate(std::span<const std::uint8_t> payload, dsp::Samples& out) const;
+
   /// Waveform for raw symbol values (no header/FEC) with the standard
   /// preamble/sync/SFD — used by the symbol-error-rate evaluations.
   [[nodiscard]] dsp::Samples modulate_symbols(
       std::span<const std::uint32_t> symbols) const;
 
-  /// Just the preamble + sync + SFD section.
-  [[nodiscard]] dsp::Samples preamble_waveform() const;
+  /// Just the preamble + sync + SFD section. It is the same for every
+  /// packet, so it is synthesised once, at construction.
+  [[nodiscard]] const dsp::Samples& preamble_waveform() const {
+    return preamble_;
+  }
 
   /// Samples in a full packet for a payload size.
   [[nodiscard]] std::size_t packet_samples(std::size_t payload_bytes) const;
 
  private:
+  void append_symbols(std::span<const std::uint32_t> symbols,
+                      dsp::Samples& out) const;
+
   PacketCodec codec_;
   ChirpGenerator chirps_;
+  dsp::Samples preamble_;
 };
 
 }  // namespace tinysdr::lora

@@ -77,6 +77,13 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
   std::uint64_t tx_impair_samples = 0;
   std::uint64_t rx_impair_samples = 0;
 
+  // Resolved once per point; a zero-trial point creates no histogram.
+  obs::Histogram* demod_us =
+      registry != nullptr && plan_.trials > 0
+          ? &registry->histogram(prefix + ".demod_us",
+                                 obs::HistogramSpec::log_scale(0.01, 1e7, 72))
+          : nullptr;
+
   for (std::size_t t = 0; t < plan_.trials; ++t) {
     const std::uint64_t tseed = exec::stream_seed(pseed, t);
 
@@ -124,9 +131,13 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
       tx_impair_samples += combined.size();
     }
 
+    // Noise goes onto the transmitted block where it lives: interferers
+    // have already been emitted from the clean `wave`, and add_noise draws
+    // in the same order as apply().
+    dsp::Samples& noisy = signal == &combined ? combined : wave;
     channel::AwgnChannel channel{rate, plan_.noise_figure_db,
                                  Rng{tseed, kChannelStream}};
-    auto noisy = channel.apply(*signal, point.rssi);
+    channel.add_noise(noisy, channel.snr_db(point.rssi));
 
     if (has_rx_impair) {
       impair::apply_stage(impairments_, impair::Stage::kRx, noisy, tseed,
@@ -135,15 +146,12 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
     }
 
     FrameResult r;
-    if (registry != nullptr) {
+    if (demod_us != nullptr) {
       auto start = std::chrono::steady_clock::now();
       r = rx_->demodulate(noisy, payload);
       auto end = std::chrono::steady_clock::now();
-      registry
-          ->histogram(prefix + ".demod_us",
-                      obs::HistogramSpec::log_scale(0.01, 1e7, 72))
-          .observe(
-              std::chrono::duration<double, std::micro>(end - start).count());
+      demod_us->observe(
+          std::chrono::duration<double, std::micro>(end - start).count());
     } else {
       r = rx_->demodulate(noisy, payload);
     }

@@ -33,10 +33,15 @@ LoraPacketTx::LoraPacketTx(LoraPhyConfig config)
 
 void LoraPacketTx::modulate(std::span<const std::uint8_t> payload,
                             dsp::Samples& out) const {
-  dsp::Samples wave = config_.sx1276_tx ? sx1276_.transmit(payload)
-                                        : modulator_.modulate(payload);
-  if (!config_.sx1276_tx && config_.dac_bits > 0) wave = dac_.roundtrip(wave);
-  out.insert(out.end(), wave.begin(), wave.end());
+  if (config_.sx1276_tx) {
+    dsp::Samples wave = sx1276_.transmit(payload);
+    out.insert(out.end(), wave.begin(), wave.end());
+    return;
+  }
+  const std::size_t start = out.size();
+  modulator_.modulate(payload, out);
+  if (config_.dac_bits > 0)
+    dac_.roundtrip_in_place(std::span{out}.subspan(start));
 }
 
 // ------------------------------------------------------------- packet RX

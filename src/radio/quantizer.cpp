@@ -17,9 +17,22 @@ IqQuantizer::IqQuantizer(int bits, float full_scale)
 }
 
 std::int32_t IqQuantizer::quantize(float value) const {
-  float scaled = value / step_;
-  auto code = static_cast<std::int32_t>(std::lround(scaled));
-  return std::clamp(code, -max_code_ - 1, max_code_);
+  const float scaled = value / step_;
+  // Round half away from zero, as std::lround does, without the libm
+  // call. Saturating first leaves |scaled| < max_code + 1 <= 2^23, where
+  // a float's fractional part is exact, so truncating and comparing the
+  // fraction against one half rounds exactly.
+  const float limit = static_cast<float>(max_code_) + 1.0f;
+  if (scaled >= limit) return max_code_;
+  if (scaled <= -limit) return -max_code_ - 1;
+  if (std::isnan(scaled))
+    return std::clamp(static_cast<std::int32_t>(std::lround(scaled)),
+                      -max_code_ - 1, max_code_);
+  auto code = static_cast<std::int32_t>(scaled);
+  const float fraction = scaled - static_cast<float>(code);
+  if (fraction >= 0.5f) ++code;
+  if (fraction <= -0.5f) --code;
+  return std::min(code, max_code_);
 }
 
 float IqQuantizer::dequantize(std::int32_t code) const {
@@ -35,10 +48,13 @@ dsp::Complex IqQuantizer::dequantize(CodePair codes) const {
 }
 
 dsp::Samples IqQuantizer::roundtrip(const dsp::Samples& in) const {
-  dsp::Samples out;
-  out.reserve(in.size());
-  for (const auto& s : in) out.push_back(dequantize(quantize(s)));
+  dsp::Samples out = in;
+  roundtrip_in_place(out);
   return out;
+}
+
+void IqQuantizer::roundtrip_in_place(std::span<dsp::Complex> block) const {
+  for (auto& s : block) s = dequantize(quantize(s));
 }
 
 double IqQuantizer::ideal_snr_db() const { return 6.02 * bits_ + 1.76; }

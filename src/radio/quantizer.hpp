@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "dsp/types.hpp"
 
@@ -42,6 +43,9 @@ class IqQuantizer {
   /// Round-trip an entire block through the quantizer (what the ADC/DAC
   /// does to a waveform).
   [[nodiscard]] dsp::Samples roundtrip(const dsp::Samples& in) const;
+
+  /// roundtrip() over a block where it lives (a TX buffer being built).
+  void roundtrip_in_place(std::span<dsp::Complex> block) const;
 
   /// Theoretical quantization SNR for a full-scale sine (6.02*bits + 1.76).
   [[nodiscard]] double ideal_snr_db() const;

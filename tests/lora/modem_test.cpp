@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "channel/noise.hpp"
 #include "common/rng.hpp"
 #include "lora/demodulator.hpp"
@@ -25,6 +27,38 @@ TEST(Modulator, PreambleSectionLength) {
   auto pre = mod.preamble_waveform();
   // 10 preamble + 2 sync + 2.25 SFD symbols of 256 samples.
   EXPECT_EQ(pre.size(), (10u + 2u) * 256u + 256u * 9u / 4u);
+}
+
+TEST(Modulator, CachedPreambleEqualsFreshSynthesis) {
+  for (double bw_khz : {125.0, 250.0}) {
+    for (int sf = 7; sf <= 12; ++sf) {
+      LoraParams p{sf, Hertz::from_kilohertz(bw_khz)};
+      Modulator mod{p, p.bandwidth};
+      const ChirpGenerator& g = mod.chirps();
+      dsp::Samples fresh;
+      auto append = [&fresh](const dsp::Samples& s) {
+        fresh.insert(fresh.end(), s.begin(), s.end());
+      };
+      for (int i = 0; i < p.preamble_symbols; ++i)
+        append(g.symbol(0, ChirpDirection::kUp));
+      append(g.symbol(kSyncSymbol1 & (p.chips() - 1), ChirpDirection::kUp));
+      append(g.symbol(kSyncSymbol2 & (p.chips() - 1), ChirpDirection::kUp));
+      append(g.symbol(0, ChirpDirection::kDown));
+      append(g.symbol(0, ChirpDirection::kDown));
+      append(g.partial_symbol(0.25, ChirpDirection::kDown));
+      EXPECT_EQ(mod.preamble_waveform(), fresh) << "SF" << sf << " BW" << bw_khz;
+
+      // Every packet starts with it, and the appending overload writes the
+      // same samples after whatever the buffer already holds.
+      auto wave = mod.modulate(payload_bytes());
+      ASSERT_GE(wave.size(), fresh.size());
+      EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), wave.begin()));
+      dsp::Samples appended(3, dsp::Complex{1.0f, -1.0f});
+      mod.modulate(payload_bytes(), appended);
+      ASSERT_EQ(appended.size(), wave.size() + 3);
+      EXPECT_TRUE(std::equal(wave.begin(), wave.end(), appended.begin() + 3));
+    }
+  }
 }
 
 TEST(Modulator, UnitPowerWaveform) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dsp/nco.hpp"
@@ -69,6 +73,105 @@ TEST(IqQuantizer, MeasuredSnrNearIdealForSine) {
   double snr_db = 10.0 * std::log10(sig / err);
   EXPECT_GT(snr_db, 70.0);
   EXPECT_LT(snr_db, 90.0);
+}
+
+/// std::lround saturated to the code range. lround is unspecified once the
+/// result leaves `long` (and at +-inf); the quantizer saturates there.
+std::int32_t clamped_lround(float scaled, std::int32_t max_code) {
+  const long lo = -static_cast<long>(max_code) - 1;
+  const long hi = max_code;
+  if (scaled >= 0x1p62f) return max_code;
+  if (scaled <= -0x1p62f) return -max_code - 1;
+  return static_cast<std::int32_t>(std::clamp(std::lround(scaled), lo, hi));
+}
+
+/// Values around every rounding and saturation edge of a quantizer whose
+/// step is exactly 1 (full scale == max code), so the value is the scaled
+/// code the rounding sees.
+std::vector<float> edge_values(std::int32_t max_code) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> v{0.0f,  -0.0f, 1e9f,  -1e9f,  3e9f,
+                       -3e9f, 1e18f, -1e18f, 1e30f, -1e30f,
+                       std::numeric_limits<float>::max(),
+                       std::numeric_limits<float>::lowest(),
+                       std::numeric_limits<float>::min(),
+                       -std::numeric_limits<float>::denorm_min(),
+                       kInf,  -kInf};
+  auto around = [&v](float x) {
+    v.push_back(x);
+    v.push_back(std::nextafter(x, kInf));
+    v.push_back(std::nextafter(x, -kInf));
+  };
+  const auto top = static_cast<float>(max_code);
+  for (float limit : {top, top + 0.5f, top + 1.0f, top + 1.5f}) {
+    around(limit);
+    around(-limit);
+  }
+  // Every code and half-code near zero and near both rails.
+  const std::int32_t span = std::min<std::int32_t>(max_code + 3, 5000);
+  for (std::int32_t k = -span; k <= span; ++k) {
+    const auto f = static_cast<float>(k);
+    around(f);
+    around(f + 0.5f);
+    v.push_back(f + 0.25f);
+    v.push_back(f + 0.75f);
+  }
+  for (std::int32_t k = max_code - 5000; k <= max_code + 3; ++k) {
+    if (k < span) continue;
+    around(static_cast<float>(k) + 0.5f);
+    around(-static_cast<float>(k) - 0.5f);
+  }
+  return v;
+}
+
+TEST(IqQuantizer, QuantizeEqualsClampedLround) {
+  for (int bits : {2, 8, 13, 16, 24}) {
+    const std::int32_t max_code = (std::int32_t{1} << (bits - 1)) - 1;
+    IqQuantizer q{bits, static_cast<float>(max_code)};
+    for (float x : edge_values(max_code))
+      ASSERT_EQ(q.quantize(x), clamped_lround(x, max_code))
+          << "bits " << bits << " x " << x;
+  }
+}
+
+TEST(IqQuantizer, QuantizeEqualsClampedLroundOverRandomFloats) {
+  // Every finite magnitude, through the real step of a 13-bit quantizer.
+  IqQuantizer q{13, 1.0f};
+  const float step = q.full_scale() / static_cast<float>(q.max_code());
+  Rng rng{17};
+  for (int i = 0; i < 200000; ++i) {
+    auto x = std::bit_cast<float>(rng.next_u32());
+    if (std::isnan(x)) continue;
+    ASSERT_EQ(q.quantize(x), clamped_lround(x / step, q.max_code())) << x;
+  }
+  // Dense values inside the range, where the fraction decides.
+  for (int i = 0; i < 200000; ++i) {
+    auto x = static_cast<float>(rng.next_double() * 2.4 - 1.2);
+    ASSERT_EQ(q.quantize(x), clamped_lround(x / step, q.max_code())) << x;
+  }
+}
+
+TEST(IqQuantizer, NanKeepsTheLroundMapping) {
+  IqQuantizer q{13, 1.0f};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(q.quantize(nan),
+            std::clamp(static_cast<std::int32_t>(std::lround(nan)), -4096,
+                       4095));
+}
+
+TEST(IqQuantizer, RoundtripInPlaceEqualsRoundtrip) {
+  IqQuantizer q{13, 1.0f};
+  Rng rng{23};
+  dsp::Samples block;
+  for (int i = 0; i < 4096; ++i)
+    block.emplace_back(static_cast<float>(rng.next_gaussian() * 0.6),
+                       static_cast<float>(rng.next_gaussian() * 0.6));
+  const dsp::Samples copied = q.roundtrip(block);
+  dsp::Samples in_place = block;
+  q.roundtrip_in_place(in_place);
+  EXPECT_EQ(in_place, copied);
+  for (std::size_t i = 0; i < block.size(); ++i)
+    ASSERT_EQ(in_place[i], q.dequantize(q.quantize(block[i]))) << i;
 }
 
 class BitDepthSweep : public ::testing::TestWithParam<int> {};
