@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "impair/impair.hpp"
 #include "phy/calibrated_rx.hpp"
@@ -31,6 +32,11 @@ struct MetamorphicCase {
   double iq_gain_db;
   double iq_phase_deg;
 };
+
+// gtest would otherwise print the raw bytes of the case, `phy` pointer
+// included, and CTest folds that dump into the test name: the name would
+// change with every address-space layout.
+void PrintTo(const MetamorphicCase& c, std::ostream* os) { *os << c.phy; }
 
 // Tuned so the clean link is error-free, the impaired one badly broken,
 // and every magnitude within the PHY's calibration capture range.

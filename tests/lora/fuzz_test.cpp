@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -30,6 +31,13 @@ struct FuzzCase {
   double bw_khz;
   CodingRate cr;
 };
+
+// CTest names each case after its printed value; the default raw-byte dump
+// would include the struct's uninitialised padding.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << "sf" << c.sf << "_bw" << c.bw_khz << "_cr4"
+      << 4 + static_cast<int>(c.cr);
+}
 
 class ChainFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
