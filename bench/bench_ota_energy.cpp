@@ -17,7 +17,8 @@ UpdateReport run_update(const fpga::FirmwareImage& image, UpdateTarget target,
   FlashModel flash;
   mcu::Msp432 mcu = mcu::baseline_firmware();
   UpdatePlanner planner;
-  return planner.run(image, target, 1, link, flash, mcu);
+  return planner.run(UpdatePlanner::prepare(image), target, 1, link, flash,
+                     mcu);
 }
 
 }  // namespace

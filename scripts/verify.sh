@@ -63,6 +63,25 @@ check_json "$smoke_dir/adversary_bench.json" \
   --eq "rollback-push.success_rate=0.0" \
   --gt "rollback-push.rollback_rejections=0"
 
+echo "== OTA smoke: Fig. 14 campaigns at 1 and 4 threads =="
+# Each campaign compresses its image once and shares it across the worker
+# threads; the Fig. 14 scalars must not depend on that or on the thread
+# count.
+fig14_eq=(
+  --eq "fpga_lora.successes=20" --eq "fpga_lora.compressed_kb=108.5966796875"
+  --eq "fpga_lora.mean_time_s=139.30689671378025"
+  --eq "fpga_ble.successes=20" --eq "fpga_ble.compressed_kb=48.0859375"
+  --eq "fpga_ble.mean_time_s=61.83488891378272"
+  --eq "mcu.successes=20" --eq "mcu.compressed_kb=22.5830078125"
+  --eq "mcu.mean_time_s=31.04011089090933"
+)
+for threads in 1 4; do
+  ./build/bench/bench_fig14_ota_cdf --threads "$threads" \
+    --json "$smoke_dir/fig14_t$threads.json" > /dev/null
+  check_json "$smoke_dir/fig14_t$threads.json" --series time_cdf \
+    "${fig14_eq[@]}"
+done
+
 echo "== serve smoke: campaign daemon + memoization cache contract =="
 scripts/serve_smoke.sh "$smoke_dir/serve"
 

@@ -1,20 +1,32 @@
 // CRC implementations used across the platform:
 //  - CRC-16/CCITT for LoRa payloads and the OTA update protocol
 //  - CRC-24 (Bluetooth) as an LFSR, bit-exact to the BT core spec
+//  - CRC-32 (IEEE 802.3) for OTA stream and firmware-image fingerprints
+//
+// CRC-16 and CRC-32 run slice-by-8: eight bytes per step through eight
+// 256-entry tables, with a byte-at-a-time tail. The tables are built at
+// compile time from the bitwise shift loops, so both functions stay
+// usable in constant expressions and give the bitwise results exactly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
 namespace tinysdr {
 
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) — used by LoRa payload CRC
-/// and by our OTA data packets.
-[[nodiscard]] constexpr std::uint16_t crc16_ccitt(
-    std::span<const std::uint8_t> data, std::uint16_t init = 0xFFFF) {
-  std::uint16_t crc = init;
-  for (std::uint8_t byte : data) {
-    crc ^= static_cast<std::uint16_t>(byte) << 8;
+namespace detail {
+
+template <typename T>
+using CrcTables = std::array<std::array<T, 256>, 8>;
+
+/// Row 0, entry k: the register after shifting byte k through the
+/// MSB-first CRC-16/CCITT loop from zero. Row j: the same byte followed
+/// by j zero bytes.
+inline constexpr CrcTables<std::uint16_t> kCrc16CcittTables = [] {
+  CrcTables<std::uint16_t> t{};
+  for (unsigned k = 0; k < 256; ++k) {
+    auto crc = static_cast<std::uint16_t>(k << 8);
     for (int bit = 0; bit < 8; ++bit) {
       if (crc & 0x8000) {
         crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
@@ -22,7 +34,49 @@ namespace tinysdr {
         crc = static_cast<std::uint16_t>(crc << 1);
       }
     }
+    t[0][k] = crc;
   }
+  for (std::size_t j = 1; j < 8; ++j)
+    for (unsigned k = 0; k < 256; ++k)
+      t[j][k] = static_cast<std::uint16_t>((t[j - 1][k] << 8) ^
+                                           t[0][t[j - 1][k] >> 8]);
+  return t;
+}();
+
+/// Row 0, entry k: the register after shifting byte k through the
+/// reflected (LSB-first) CRC-32 loop from zero. Row j: the same byte
+/// followed by j zero bytes.
+inline constexpr CrcTables<std::uint32_t> kCrc32IeeeTables = [] {
+  CrcTables<std::uint32_t> t{};
+  for (std::uint32_t k = 0; k < 256; ++k) {
+    std::uint32_t crc = k;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    t[0][k] = crc;
+  }
+  for (std::size_t j = 1; j < 8; ++j)
+    for (std::uint32_t k = 0; k < 256; ++k)
+      t[j][k] = (t[j - 1][k] >> 8) ^ t[0][t[j - 1][k] & 0xFFu];
+  return t;
+}();
+
+}  // namespace detail
+
+/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) — used by LoRa payload CRC
+/// and by our OTA data packets.
+[[nodiscard]] constexpr std::uint16_t crc16_ccitt(
+    std::span<const std::uint8_t> data, std::uint16_t init = 0xFFFF) {
+  const auto& t = detail::kCrc16CcittTables;
+  std::uint16_t crc = init;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    crc = static_cast<std::uint16_t>(
+        t[7][(crc >> 8) ^ p[0]] ^ t[6][(crc & 0xFFu) ^ p[1]] ^ t[5][p[2]] ^
+        t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]]);
+  }
+  for (; n > 0; --n, ++p)
+    crc = static_cast<std::uint16_t>((crc << 8) ^ t[0][(crc >> 8) ^ *p]);
   return crc;
 }
 
@@ -78,13 +132,20 @@ class BleCrc24 {
 /// the OTA flash store.
 [[nodiscard]] constexpr std::uint32_t crc32_ieee(
     std::span<const std::uint8_t> data, std::uint32_t init = 0xFFFFFFFF) {
+  const auto& t = detail::kCrc32IeeeTables;
   std::uint32_t crc = init;
-  for (std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-    }
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    crc ^= static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+    crc = t[7][crc & 0xFFu] ^ t[6][(crc >> 8) & 0xFFu] ^
+          t[5][(crc >> 16) & 0xFFu] ^ t[4][crc >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; --n, ++p) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   return ~crc;
 }
 

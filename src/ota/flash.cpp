@@ -1,11 +1,31 @@
 #include "ota/flash.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/crc.hpp"
 
 namespace tinysdr::ota {
+
+namespace {
+
+/// NOR: programming can only clear bits, so every cell ANDs with its data
+/// byte. Eight cells per step, then the tail.
+void and_into(std::uint8_t* cells, const std::uint8_t* data, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t c;
+    std::uint64_t d;
+    std::memcpy(&c, cells + i, 8);
+    std::memcpy(&d, data + i, 8);
+    c &= d;
+    std::memcpy(cells + i, &c, 8);
+  }
+  for (; i < n; ++i) cells[i] &= data[i];
+}
+
+}  // namespace
 
 bool FlashModel::erase_sector(std::size_t address) {
   if (address >= kCapacity)
@@ -43,6 +63,7 @@ bool FlashModel::program(std::size_t address,
   if (address + data.size() > kCapacity)
     throw std::out_of_range("FlashModel::program: past end");
   bool ok = true;
+  std::uint8_t* cells = memory_.data() + address;
   // Real parts program through the page buffer; faults are per page op.
   std::size_t pos = 0;
   while (pos < data.size()) {
@@ -52,16 +73,13 @@ bool FlashModel::program(std::size_t address,
     std::optional<PageProgramFault> fault;
     if (page_program_hook_) fault = page_program_hook_(address + pos, len);
     std::size_t commit = fault ? std::min(fault->committed, len) : len;
-    for (std::size_t i = 0; i < commit; ++i) {
-      // NOR: programming can only clear bits.
-      memory_[address + pos + i] &= data[pos + i];
-    }
+    and_into(cells + pos, data.data() + pos, commit);
     if (fault) {
       ++program_failures_;
       ok = false;
       if (commit < len) {
         // Torn byte: the bits in torn_keep_mask refuse to clear.
-        memory_[address + pos + commit] &=
+        cells[pos + commit] &=
             static_cast<std::uint8_t>(data[pos + commit] |
                                       fault->torn_keep_mask);
       }
@@ -76,10 +94,15 @@ bool FlashModel::program(std::size_t address,
 
 std::vector<std::uint8_t> FlashModel::read(std::size_t address,
                                            std::size_t length) const {
+  auto bytes = view(address, length);
+  return {bytes.begin(), bytes.end()};
+}
+
+std::span<const std::uint8_t> FlashModel::view(std::size_t address,
+                                               std::size_t length) const {
   if (address + length > kCapacity)
-    throw std::out_of_range("FlashModel::read: past end");
-  return {memory_.begin() + static_cast<std::ptrdiff_t>(address),
-          memory_.begin() + static_cast<std::ptrdiff_t>(address + length)};
+    throw std::out_of_range("FlashModel: read past end");
+  return std::span(memory_).subspan(address, length);
 }
 
 bool FlashModel::is_erased(std::size_t address, std::size_t length) const {
@@ -163,22 +186,24 @@ bool FirmwareStore::write_slot(Slot slot, std::span<const std::uint8_t> image,
   }
   flash_->program(base, image);
   // Read-back fingerprint verification decides validity.
-  auto back = flash_->read(base, image.size());
-  st.valid = crc32_ieee(back) == st.crc32;
+  st.valid = crc32_ieee(flash_->view(base, image.size())) == st.crc32;
   return st.valid;
+}
+
+bool FirmwareStore::verifies(Slot slot) const {
+  const auto& st = state(slot);
+  if (!st.valid && st.length == 0) return false;
+  return crc32_ieee(flash_->view(slot_base(slot), st.length)) == st.crc32;
 }
 
 std::optional<std::vector<std::uint8_t>> FirmwareStore::load_slot(
     Slot slot) const {
-  const auto& st = state(slot);
-  if (!st.valid && st.length == 0) return std::nullopt;
-  auto data = flash_->read(slot_base(slot), st.length);
-  if (crc32_ieee(data) != st.crc32) return std::nullopt;
-  return data;
+  if (!verifies(slot)) return std::nullopt;
+  return flash_->read(slot_base(slot), state(slot).length);
 }
 
 bool FirmwareStore::activate(Slot slot) {
-  if (!load_slot(slot)) return false;
+  if (!verifies(slot)) return false;
   // Anti-rollback ratchet: an image older than anything this node already
   // ran is refused — a downgrade attack, not a benign failure. The golden
   // image stays reachable through rollback_to_golden(), which is the
@@ -194,7 +219,7 @@ bool FirmwareStore::activate(Slot slot) {
 
 bool FirmwareStore::rollback_to_golden() {
   ++rollbacks_;
-  if (!load_slot(Slot::kGolden)) return false;
+  if (!verifies(Slot::kGolden)) return false;
   active_ = Slot::kGolden;
   return true;
 }
@@ -213,8 +238,6 @@ std::uint32_t FirmwareStore::slot_fingerprint(Slot slot) const {
   return state(slot).crc32;
 }
 
-bool FirmwareStore::slot_valid(Slot slot) const {
-  return load_slot(slot).has_value();
-}
+bool FirmwareStore::slot_valid(Slot slot) const { return verifies(slot); }
 
 }  // namespace tinysdr::ota

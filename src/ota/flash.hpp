@@ -65,6 +65,11 @@ class FlashModel {
 
   [[nodiscard]] std::vector<std::uint8_t> read(std::size_t address,
                                                std::size_t length) const;
+  /// The same bytes as read(), without the copy. The span aliases the
+  /// array, so it is valid until the next erase or program.
+  /// @throws std::out_of_range past the end of the array.
+  [[nodiscard]] std::span<const std::uint8_t> view(std::size_t address,
+                                                   std::size_t length) const;
 
   /// True if the whole range reads 0xFF.
   [[nodiscard]] bool is_erased(std::size_t address, std::size_t length) const;
@@ -229,6 +234,9 @@ class FirmwareStore {
   };
 
   [[nodiscard]] static std::size_t slot_base(Slot slot);
+  /// True if the slot holds an image whose read-back matches its
+  /// recorded fingerprint.
+  [[nodiscard]] bool verifies(Slot slot) const;
   [[nodiscard]] const SlotState& state(Slot slot) const {
     return slots_[static_cast<std::size_t>(slot)];
   }

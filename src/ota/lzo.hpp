@@ -33,7 +33,9 @@ inline constexpr std::size_t kMaxLiteralRun = 32;
     std::span<const std::uint8_t> input);
 
 /// Decompress; returns nullopt on malformed input (bad offset/overrun).
-/// `expected_size` bounds the output (the block header carries it).
+/// `expected_size` bounds the output (the block header carries it). A size
+/// no stream of `input.size()` bytes can decode to is refused before any
+/// allocation.
 [[nodiscard]] std::optional<std::vector<std::uint8_t>> lzo_decompress(
     std::span<const std::uint8_t> input, std::size_t expected_size);
 
@@ -62,6 +64,18 @@ struct CompressedBlock {
 /// Reassemble an image from blocks; nullopt on CRC or decode failure.
 [[nodiscard]] std::optional<std::vector<std::uint8_t>> decompress_blocks(
     const std::vector<CompressedBlock>& blocks);
+
+/// Frame blocks into the OTA transfer stream: per block a 10-byte
+/// little-endian header (original size u32, compressed size u32, CRC-16)
+/// followed by the compressed payload.
+[[nodiscard]] std::vector<std::uint8_t> frame_blocks(
+    const std::vector<CompressedBlock>& blocks);
+
+/// Reassemble an image from a framed stream, reading the payloads in
+/// place. A trailing partial frame is ignored; nullopt on CRC or decode
+/// failure.
+[[nodiscard]] std::optional<std::vector<std::uint8_t>> decompress_stream(
+    std::span<const std::uint8_t> stream);
 
 /// Total compressed bytes across blocks (what goes over the air).
 [[nodiscard]] std::size_t compressed_size(

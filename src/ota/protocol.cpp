@@ -247,8 +247,7 @@ NodeAgent::RxStatus NodeAgent::receive_chunk(
   // verify, as real update firmware does.
   std::size_t address = kStagingBase + seq * kDataPayload;
   flash_->program(address, payload);
-  auto back = flash_->read(address, payload.size());
-  if (!std::equal(back.begin(), back.end(), payload.begin())) {
+  if (!std::ranges::equal(flash_->view(address, payload.size()), payload)) {
     ++flash_write_errors_;
     if (auto* t = obs::tracer()) {
       t->instant("ota", "flash-write-error",
@@ -302,7 +301,9 @@ void NodeAgent::persist_session() {
     }
     if (!erased) continue;
     flash_->program(kSessionSector, record);
-    if (flash_->read(kSessionSector, record.size()) == record) return;
+    if (std::ranges::equal(flash_->view(kSessionSector, record.size()),
+                           record))
+      return;
   }
 }
 
@@ -378,11 +379,7 @@ void NodeAgent::advance_time(Seconds elapsed) {
 
 bool NodeAgent::verify_stream(std::uint32_t crc32) const {
   if (!session_active_ || received_ != total_chunks_) return false;
-  return crc32_ieee(staged_stream()) == crc32;
-}
-
-std::vector<std::uint8_t> NodeAgent::staged_stream() const {
-  return flash_->read(kStagingBase, stream_bytes_);
+  return crc32_ieee(flash_->view(kStagingBase, stream_bytes_)) == crc32;
 }
 
 // -------------------------------------------------------- transfer engine
@@ -628,6 +625,7 @@ class TransferEngine {
             // Node lost its session state entirely: our delivery ledger
             // is stale, start over from an empty bitmap.
             std::fill(got_.begin(), got_.end(), false);
+            delivered_prefix_ = 0;
           }
           return true;
         }
@@ -794,10 +792,12 @@ class TransferEngine {
     while (true) {
       if (deadline_exceeded()) return UpdateFailure::kDeadline;
       // Collect the next window: lowest missing seqs within one SACK span.
+      while (delivered_prefix_ < chunks_ && got_[delivered_prefix_])
+        ++delivered_prefix_;
       std::vector<std::size_t> window;
       std::size_t base = 0;
-      for (std::size_t seq = 0; seq < chunks_ && window.size() < policy_.window;
-           ++seq) {
+      for (std::size_t seq = delivered_prefix_;
+           seq < chunks_ && window.size() < policy_.window; ++seq) {
         if (got_[seq]) continue;
         if (window.empty()) base = seq;
         if (seq - base >= kSackSpan) break;
@@ -912,6 +912,7 @@ class TransferEngine {
   /// full-range bitmap polls (the node may have lost unpersisted chunks
   /// in a brownout).
   void rescan_bitmap() {
+    delivered_prefix_ = 0;
     for (std::size_t base = 0; base < chunks_; base += kSackSpan) {
       std::size_t span = std::min(kSackSpan, chunks_ - base);
       for (std::size_t attempt = 0; attempt < policy_.max_retries; ++attempt) {
@@ -966,6 +967,9 @@ class TransferEngine {
   UpdateOutcome& outcome_;
   std::size_t chunks_;
   std::vector<bool> got_;
+  /// Every seq below this is in got_. Window collection starts here
+  /// instead of at 0; reset wherever got_ can lose entries.
+  std::size_t delivered_prefix_ = 0;
   std::uint32_t session_id_;
   Milliwatts rx_draw_{0.0};
   std::size_t reassociations_used_ = 0;

@@ -280,7 +280,6 @@ class NodeAgent {
 
   /// END check: read the staged stream back and compare fingerprints.
   [[nodiscard]] bool verify_stream(std::uint32_t crc32) const;
-  [[nodiscard]] std::vector<std::uint8_t> staged_stream() const;
 
   [[nodiscard]] FlashModel& flash() { return *flash_; }
   [[nodiscard]] sim::FaultInjector* faults() const { return faults_; }

@@ -7,34 +7,25 @@
 
 namespace tinysdr::ota {
 
-UpdateReport UpdatePlanner::run(const fpga::FirmwareImage& image,
-                                UpdateTarget target, std::uint16_t device_id,
-                                OtaLink& link, FlashModel& flash,
-                                mcu::Msp432& mcu,
+AirImage UpdatePlanner::prepare(const fpga::FirmwareImage& image) {
+  auto blocks = compress_blocks(image.data);
+  AirImage air;
+  air.stream = frame_blocks(blocks);
+  air.original_bytes = image.size();
+  air.compressed_bytes = compressed_size(blocks);
+  air.image_crc32 = crc32_ieee(image.data);
+  return air;
+}
+
+UpdateReport UpdatePlanner::run(const AirImage& air, UpdateTarget target,
+                                std::uint16_t device_id, OtaLink& link,
+                                FlashModel& flash, mcu::Msp432& mcu,
                                 const UpdateOptions& options) const {
   UpdateReport report;
   report.target = target;
-  report.original_bytes = image.size();
-
-  // AP side: block-compress.
-  auto blocks = compress_blocks(image.data);
-  report.compressed_bytes = compressed_size(blocks);
-
-  // Serialize blocks into the transfer byte stream: per block a small
-  // header (orig size u32, comp size u32, crc16) then the payload.
-  std::vector<std::uint8_t> stream;
-  stream.reserve(report.compressed_bytes + blocks.size() * 10);
-  for (const auto& b : blocks) {
-    auto push32 = [&](std::uint32_t v) {
-      for (int i = 0; i < 4; ++i)
-        stream.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-    };
-    push32(b.original_size);
-    push32(static_cast<std::uint32_t>(b.data.size()));
-    stream.push_back(static_cast<std::uint8_t>(b.crc16 & 0xFF));
-    stream.push_back(static_cast<std::uint8_t>(b.crc16 >> 8));
-    stream.insert(stream.end(), b.data.begin(), b.data.end());
-  }
+  report.original_bytes = air.original_bytes;
+  report.compressed_bytes = air.compressed_bytes;
+  const std::vector<std::uint8_t>& stream = air.stream;
 
   // Radio phase. The node agent streams chunks straight into the flash
   // staging region and checkpoints its session, so a brownout mid-transfer
@@ -68,37 +59,15 @@ UpdateReport UpdatePlanner::run(const fpga::FirmwareImage& image,
 
   // Decompression: radio off; 30 kB SRAM block buffer on the MCU.
   mcu.allocate_sram("ota_block", static_cast<std::uint32_t>(kOtaBlockSize));
-  std::vector<CompressedBlock> rx_blocks;
-  {
-    auto staged = flash.read(NodeAgent::kStagingBase, stream.size());
-    std::size_t pos = 0;
-    auto read32 = [&](std::size_t at) {
-      return static_cast<std::uint32_t>(staged[at]) |
-             (static_cast<std::uint32_t>(staged[at + 1]) << 8) |
-             (static_cast<std::uint32_t>(staged[at + 2]) << 16) |
-             (static_cast<std::uint32_t>(staged[at + 3]) << 24);
-    };
-    while (pos + 10 <= staged.size()) {
-      CompressedBlock b;
-      b.original_size = read32(pos);
-      std::uint32_t clen = read32(pos + 4);
-      b.crc16 = static_cast<std::uint16_t>(staged[pos + 8] |
-                                           (staged[pos + 9] << 8));
-      pos += 10;
-      if (pos + clen > staged.size()) break;
-      b.data.assign(staged.begin() + static_cast<std::ptrdiff_t>(pos),
-                    staged.begin() + static_cast<std::ptrdiff_t>(pos + clen));
-      pos += clen;
-      rx_blocks.push_back(std::move(b));
-    }
-  }
-  auto decompressed = decompress_blocks(rx_blocks);
+  auto decompressed = decompress_stream(
+      flash.view(NodeAgent::kStagingBase, stream.size()));
   mcu.free_sram("ota_block");
-  if (!decompressed || decompressed->size() != image.size()) {
+  if (!decompressed || decompressed->size() != air.original_bytes) {
     return fail_with_rollback(UpdateFailure::kDecodeFailed);
   }
   report.decompress_time =
-      Seconds{static_cast<double>(image.size()) / kDecompressBytesPerSecond};
+      Seconds{static_cast<double>(air.original_bytes) /
+              kDecompressBytesPerSecond};
 
   if (options.store != nullptr) {
     // A/B layout: the new image goes to the standby slot; the active slot
@@ -109,8 +78,8 @@ UpdateReport UpdatePlanner::run(const fpga::FirmwareImage& image,
     if (!written)
       written = options.store->write_slot(slot, *decompressed,
                                           options.image_version);
-    std::uint32_t want = crc32_ieee(image.data);
-    if (!written || options.store->slot_fingerprint(slot) != want) {
+    if (!written ||
+        options.store->slot_fingerprint(slot) != air.image_crc32) {
       return fail_with_rollback(UpdateFailure::kImageVerify);
     }
     if (!options.store->activate(slot)) {

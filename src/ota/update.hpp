@@ -70,6 +70,17 @@ struct UpdateOptions {
   std::uint32_t image_version = 0;
 };
 
+/// What the access point sends for one firmware image. The AP compresses
+/// a bitstream once and pushes the same bytes to the whole fleet, so a
+/// campaign builds one AirImage and shares it read-only across nodes.
+struct AirImage {
+  /// frame_blocks() of the compressed 30 kB blocks.
+  std::vector<std::uint8_t> stream;
+  std::size_t original_bytes = 0;
+  std::size_t compressed_bytes = 0;  ///< payload bytes, headers excluded
+  std::uint32_t image_crc32 = 0;     ///< fingerprint of the decoded image
+};
+
 /// Runs a complete OTA update of one node over a given link.
 class UpdatePlanner {
  public:
@@ -80,11 +91,23 @@ class UpdatePlanner {
   /// 48 MHz M4F streams roughly 1.3 MB/s.
   static constexpr double kDecompressBytesPerSecond = 1.32e6;
 
+  /// AP side: block-compress and frame an image for transfer.
+  [[nodiscard]] static AirImage prepare(const fpga::FirmwareImage& image);
+
+  [[nodiscard]] UpdateReport run(const AirImage& air, UpdateTarget target,
+                                 std::uint16_t device_id, OtaLink& link,
+                                 FlashModel& flash, mcu::Msp432& mcu,
+                                 const UpdateOptions& options = {}) const;
+
+  /// One-off update: prepare() then run(). perfbench's ota_fleet workload
+  /// times this entry; campaigns call prepare() once instead.
   [[nodiscard]] UpdateReport run(const fpga::FirmwareImage& image,
                                  UpdateTarget target, std::uint16_t device_id,
                                  OtaLink& link, FlashModel& flash,
                                  mcu::Msp432& mcu,
-                                 const UpdateOptions& options = {}) const;
+                                 const UpdateOptions& options = {}) const {
+    return run(prepare(image), target, device_id, link, flash, mcu, options);
+  }
 };
 
 /// Convenience: average power if a node is OTA-updated once per `period`

@@ -165,6 +165,8 @@ CampaignResult run_campaign(const Deployment& deployment,
   if (auto* t = obs::tracer()) t->name_track(0, "campaign");
   obs::TraceSpan campaign_span{"testbed", "campaign:" + image.name};
   ota::UpdatePlanner planner;
+  // The AP compresses once; every node receives the same bytes.
+  const ota::AirImage air = ota::UpdatePlanner::prepare(image);
 
   // One sequential draw for the whole campaign; every per-node seed is a
   // pure function of (base, node id), precomputed before dispatch.
@@ -181,7 +183,7 @@ CampaignResult run_campaign(const Deployment& deployment,
         ota::OtaLink link{ota::ota_link_params(), node.rssi, seeds[i]};
         ota::FlashModel flash;
         mcu::Msp432 mcu = mcu::baseline_firmware();
-        return planner.run(image, target, node.id, link, flash, mcu);
+        return planner.run(air, target, node.id, link, flash, mcu);
       });
 
   for (auto& shard : shards) {
@@ -281,6 +283,8 @@ FaultCampaignResult run_fault_campaign(
     Rng& rng, const exec::ExecPolicy& policy) {
   FaultCampaignResult result;
   ota::UpdatePlanner planner;
+  // Compressed once, shared by the baseline and every scenario pass.
+  const ota::AirImage air = ota::UpdatePlanner::prepare(image);
 
   if (auto* t = obs::tracer()) t->name_track(0, "campaign");
 
@@ -301,7 +305,7 @@ FaultCampaignResult run_fault_campaign(
                             node_link_seed(pass_base, node.id)};
           ota::FlashModel flash;
           mcu::Msp432 mcu = mcu::baseline_firmware();
-          return planner.run(image, target, node.id, link, flash, mcu);
+          return planner.run(air, target, node.id, link, flash, mcu);
         });
     result.baseline =
         summarize("baseline", collect_reports(shards), nullptr);
@@ -345,7 +349,7 @@ FaultCampaignResult run_fault_campaign(
           options.store = &store;
           options.attacker = attacker.get();
           options.image_version = scenario.image_version;
-          return planner.run(image, target, node.id, link, flash, mcu,
+          return planner.run(air, target, node.id, link, flash, mcu,
                              options);
         });
     result.scenarios.push_back(summarize(

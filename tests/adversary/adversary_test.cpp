@@ -440,8 +440,9 @@ TEST(Rollback, UpdatePlannerReportsRejectedRollback) {
   options.store = &store;
   options.image_version = 1;  // older than the fleet's v5
   ota::UpdatePlanner planner;
-  auto report = planner.run(image, ota::UpdateTarget::kMcu, 4, link, flash,
-                            mcu, options);
+  auto report = planner.run(ota::UpdatePlanner::prepare(image),
+                            ota::UpdateTarget::kMcu, 4, link, flash, mcu,
+                            options);
 
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.failure, ota::UpdateFailure::kRejectedRollback);

@@ -5,8 +5,92 @@
 #include <array>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace tinysdr {
 namespace {
+
+// The table-driven CRCs must stay usable in constant expressions.
+constexpr std::array<std::uint8_t, 9> kCheckInput{'1', '2', '3', '4', '5',
+                                                  '6', '7', '8', '9'};
+static_assert(crc16_ccitt(kCheckInput) == 0x29B1);
+static_assert(crc32_ieee(kCheckInput) == 0xCBF43926u);
+
+// Bitwise reference implementations: one polynomial step per bit, exactly
+// the loops the lookup tables are built from.
+std::uint16_t crc16_bitwise(std::span<const std::uint8_t> data,
+                            std::uint16_t init) {
+  std::uint16_t crc = init;
+  for (std::uint8_t byte : data) {
+    crc ^= static_cast<std::uint16_t>(byte) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      if (crc & 0x8000) {
+        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+      } else {
+        crc = static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+  }
+  return crc;
+}
+
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t init) {
+  std::uint32_t crc = init;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_buffer(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = rng.next_byte();
+  return v;
+}
+
+TEST(CrcTables, MatchBitwiseReferenceOnRandomBuffers) {
+  Rng rng{0xC4C};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = rng.next_below(4097);
+    const auto data = random_buffer(rng, n);
+    const auto init16 = static_cast<std::uint16_t>(rng.next_u32());
+    const std::uint32_t init32 = rng.next_u32();
+    ASSERT_EQ(crc16_ccitt(data, init16), crc16_bitwise(data, init16)) << n;
+    ASSERT_EQ(crc32_ieee(data, init32), crc32_bitwise(data, init32)) << n;
+    ASSERT_EQ(crc16_ccitt(data), crc16_bitwise(data, 0xFFFF)) << n;
+    ASSERT_EQ(crc32_ieee(data), crc32_bitwise(data, 0xFFFFFFFF)) << n;
+  }
+  // Every length from 0 to 64 hits every tail alignment.
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const auto data = random_buffer(rng, n);
+    ASSERT_EQ(crc16_ccitt(data, 0x1D0F), crc16_bitwise(data, 0x1D0F)) << n;
+    ASSERT_EQ(crc32_ieee(data, 0x12345678u), crc32_bitwise(data, 0x12345678u))
+        << n;
+  }
+}
+
+TEST(CrcTables, SplitBuffersChainThroughInit) {
+  Rng rng{0x5117};
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto data = random_buffer(rng, rng.next_below(4097));
+    const std::size_t cut = rng.next_below(
+        static_cast<std::uint32_t>(data.size() + 1));
+    const std::span<const std::uint8_t> all{data};
+    const auto head = all.first(cut);
+    const auto tail = all.subspan(cut);
+    // CRC-16 carries its register straight through init.
+    EXPECT_EQ(crc16_ccitt(tail, crc16_ccitt(head)), crc16_ccitt(all));
+    EXPECT_EQ(crc16_ccitt(tail, crc16_bitwise(head, 0xFFFF)),
+              crc16_bitwise(all, 0xFFFF));
+    // CRC-32 returns the complemented register; undo it to chain.
+    EXPECT_EQ(crc32_ieee(tail, ~crc32_ieee(head)), crc32_ieee(all));
+    EXPECT_EQ(crc32_ieee(tail, ~crc32_bitwise(head, 0xFFFFFFFF)),
+              crc32_bitwise(all, 0xFFFFFFFF));
+  }
+}
 
 TEST(Crc16, KnownVector) {
   // CRC-16/CCITT-FALSE("123456789") = 0x29B1.

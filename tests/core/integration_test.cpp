@@ -70,7 +70,8 @@ TEST(Integration, FullOtaPipelineDeliversLoadableDesign) {
   Rng link_rng{3};
   ota::OtaLink link{ota::ota_link_params(), Dbm{-90.0}, link_rng};
   ota::UpdatePlanner planner;
-  auto report = planner.run(image, ota::UpdateTarget::kFpga, dev.id(), link,
+  auto report = planner.run(ota::UpdatePlanner::prepare(image),
+                            ota::UpdateTarget::kFpga, dev.id(), link,
                             dev.flash(), dev.mcu());
   ASSERT_TRUE(report.success);
 

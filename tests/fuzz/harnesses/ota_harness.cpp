@@ -1,7 +1,10 @@
 // OTA harnesses: the node-side chunk store against a reference in-memory
-// model, and the full AP->node transfer engine under adversarial fault
-// schedules (drops, dups, reorders, corruption, brownouts, flash faults).
+// model, the full AP->node transfer engine under adversarial fault
+// schedules (drops, dups, reorders, corruption, brownouts, flash faults),
+// and the LZO block decoder against a byte-at-a-time reference decoder.
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -10,6 +13,7 @@
 
 #include "harnesses.hpp"
 #include "ota/flash.hpp"
+#include "ota/lzo.hpp"
 #include "ota/protocol.hpp"
 #include "sim/faults.hpp"
 #include "testkit/bytes.hpp"
@@ -136,8 +140,7 @@ void node_agent_model(std::span<const std::uint8_t> data) {
 
   // Every chunk ever stored is byte-identical in the staging region —
   // brownouts may drop bitmap marks, never staged flash data.
-  auto staged = node.staged_stream();
-  require(staged.size() == stream_bytes, "staged_stream length wrong");
+  auto staged = flash.view(ota::NodeAgent::kStagingBase, stream_bytes);
   for (std::size_t seq : ever_stored) {
     const std::size_t off = seq * ota::kDataPayload;
     const auto expect = chunk_of(seq);
@@ -223,12 +226,114 @@ void transfer_adversarial(std::span<const std::uint8_t> data) {
   }
 }
 
+// Reference decoder: appends one byte at a time and checks every bound
+// as it goes. It is the straightforward reading of the token format
+// (minus an up-front reserve, which is only a capacity hint), kept as the
+// oracle for the pre-sized lzo_decompress.
+std::optional<std::vector<std::uint8_t>> reference_lzo_decompress(
+    std::span<const std::uint8_t> input, std::size_t expected_size) {
+  std::vector<std::uint8_t> out;
+  std::size_t pos = 0;
+  while (pos < input.size()) {
+    std::uint8_t token = input[pos++];
+    if (token < 0x20) {
+      std::size_t run = static_cast<std::size_t>(token) + 1;
+      if (pos + run > input.size()) return std::nullopt;
+      if (out.size() + run > expected_size) return std::nullopt;
+      out.insert(out.end(), input.begin() + static_cast<std::ptrdiff_t>(pos),
+                 input.begin() + static_cast<std::ptrdiff_t>(pos + run));
+      pos += run;
+    } else {
+      if (pos + 2 > input.size()) return std::nullopt;
+      std::size_t len =
+          static_cast<std::size_t>(token) - 0x20 + ota::kMinMatch;
+      std::size_t offset = static_cast<std::size_t>(input[pos]) |
+                           (static_cast<std::size_t>(input[pos + 1]) << 8);
+      pos += 2;
+      if (offset == 0 || offset > out.size()) return std::nullopt;
+      if (out.size() + len > expected_size) return std::nullopt;
+      std::size_t src = out.size() - offset;
+      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+    }
+  }
+  if (out.size() != expected_size) return std::nullopt;
+  return out;
+}
+
+// Differential oracle for lzo_decompress: on raw token soup, and on valid
+// streams that are then truncated, bit-flipped (bad tokens and offsets)
+// or paired with a wrong expected size (short, long, 0xFFFFFFFF), the
+// decoder must return exactly what the reference returns — the same
+// bytes, or nullopt for nullopt.
+void lzo_decode_differential(std::span<const std::uint8_t> data) {
+  testkit::ByteSource src{data};
+  std::vector<std::uint8_t> stream;
+  std::size_t expected = 0;
+  const std::uint8_t mode = src.u8() % 4;
+  if (mode == 0) {
+    expected = src.u16();
+    stream = src.rest();
+  } else {
+    // Plaintext with literal, constant and back-copy runs, so the
+    // compressor emits overlapping and distant matches.
+    std::vector<std::uint8_t> plain;
+    const std::size_t ops = src.u8() % 32;
+    for (std::size_t op = 0; op < ops; ++op) {
+      const std::uint8_t kind = src.u8() % 3;
+      if (kind == 0) {
+        auto lit = src.take(1 + src.u8() % 40);
+        plain.insert(plain.end(), lit.begin(), lit.end());
+      } else if (kind == 1) {
+        const std::size_t len = 1 + src.u8();
+        plain.insert(plain.end(), len, src.u8());
+      } else if (!plain.empty()) {
+        const std::size_t back = 1 + src.u16() % plain.size();
+        const std::size_t len = 1 + src.u8();
+        const std::size_t from = plain.size() - back;
+        for (std::size_t i = 0; i < len; ++i) plain.push_back(plain[from + i]);
+      }
+    }
+    stream = ota::lzo_compress(plain);
+    expected = plain.size();
+    require(ota::lzo_decompress(stream, expected) == plain,
+            "valid stream did not round-trip");
+    if (mode == 1) {
+      stream.resize(src.u16() % (stream.size() + 1));
+    } else if (mode == 2) {
+      const std::size_t flips = 1 + src.u8() % 4;
+      for (std::size_t f = 0; f < flips && !stream.empty(); ++f) {
+        const std::size_t at = src.u16() % stream.size();
+        stream[at] ^= static_cast<std::uint8_t>(src.u8() | 1u);
+      }
+    } else {
+      switch (src.u8() % 4) {
+        case 0:
+          expected += 1 + src.u8() % 8;
+          break;
+        case 1:
+          expected -= std::min<std::size_t>(expected, 1 + src.u8() % 8);
+          break;
+        case 2:
+          expected = 0xFFFFFFFFu;
+          break;
+        default:
+          expected = ota::kMaxMatch * stream.size() + src.u8() % 2;
+          break;
+      }
+    }
+  }
+  require(ota::lzo_decompress(stream, expected) ==
+              reference_lzo_decompress(stream, expected),
+          "lzo_decompress diverged from the reference decoder");
+}
+
 }  // namespace
 
 void register_ota_harnesses() {
   auto& reg = testkit::HarnessRegistry::instance();
   reg.add({"ota.node_agent", node_agent_model, /*max_len=*/512});
   reg.add({"ota.transfer", transfer_adversarial, /*max_len=*/256});
+  reg.add({"ota.lzo_decode", lzo_decode_differential, /*max_len=*/512});
 }
 
 }  // namespace tinysdr::fuzz

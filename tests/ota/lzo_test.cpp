@@ -132,6 +132,51 @@ TEST(Lzo, PropertyFuzzRoundTrip) {
   }
 }
 
+TEST(Lzo, RefusesSizesTheInputCannotReach) {
+  auto data = random_bytes(4000, 12);
+  for (std::size_t i = 0; i < data.size(); i += 2) data[i] = 0;
+  auto compressed = lzo_compress(data);
+  // A header read from flash can claim any u32; no allocation of that
+  // size may happen for a stream this short.
+  EXPECT_FALSE(lzo_decompress(compressed, 0xFFFFFFFFu).has_value());
+  EXPECT_FALSE(lzo_decompress({}, 0xFFFFFFFFu).has_value());
+  EXPECT_FALSE(lzo_decompress({}, 1).has_value());
+  EXPECT_FALSE(
+      lzo_decompress(compressed, kMaxMatch * compressed.size() + 1)
+          .has_value());
+  // Sizes under the bound still decode: a literal plus one overlapping
+  // kMaxMatch-byte match expands 5 input bytes to 228.
+  std::vector<std::uint8_t> rle{0x00, 0x7A, 0xFF, 0x01, 0x00};
+  auto back = lzo_decompress(rle, 1 + kMaxMatch);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, std::vector<std::uint8_t>(1 + kMaxMatch, 0x7A));
+}
+
+TEST(LzoBlocks, FramedStreamRoundTrip) {
+  auto data = random_bytes(70 * 1024, 13);
+  for (std::size_t i = 0; i < data.size(); i += 3) data[i] = 0;
+  auto blocks = compress_blocks(data);
+  auto stream = frame_blocks(blocks);
+  EXPECT_EQ(stream.size(), compressed_size(blocks) + 10 * blocks.size());
+  auto back = decompress_stream(stream);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, data);
+
+  // A trailing partial frame is ignored; the blocks before it decode.
+  auto first = frame_blocks({blocks[0]});
+  const auto second = static_cast<std::ptrdiff_t>(first.size());
+  first.insert(first.end(), stream.begin() + second,
+               stream.begin() + second + 15);
+  auto head = decompress_stream(first);
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(*head, std::vector<std::uint8_t>(
+                       data.begin(), data.begin() + blocks[0].original_size));
+
+  // A corrupt payload fails its block CRC.
+  stream[10 + 5] ^= 0x40;
+  EXPECT_FALSE(decompress_stream(stream).has_value());
+}
+
 TEST(LzoBlocks, RoundTripAcrossBlockBoundaries) {
   auto data = random_bytes(100 * 1024, 9);
   for (std::size_t i = 0; i < data.size(); i += 3) data[i] = 0;  // structure

@@ -92,7 +92,8 @@ TEST(OtaProperty, AnyDeliveryOrderWithDuplicatesCompletesTheStream) {
         }
         if (stored != chunks || duplicates != chunks) return false;
         if (!node.complete()) return false;
-        if (node.staged_stream() != image) return false;
+        if (flash.read(NodeAgent::kStagingBase, image.size()) != image)
+          return false;
         return node.verify_stream(
             crc32_ieee(std::span<const std::uint8_t>{image}));
       });
@@ -189,7 +190,8 @@ TEST(OtaProperty, BrownoutWithCheckpointResumesWithoutLosingFlashData) {
           if (node.receive_chunk(static_cast<std::uint16_t>(seq),
                                  chunk_of(image, seq)) != RxStatus::kStored)
             return false;
-        return node.complete() && node.staged_stream() == image &&
+        return node.complete() &&
+               flash.read(NodeAgent::kStagingBase, image.size()) == image &&
                node.resume_count() == 1;
       });
   EXPECT_TRUE(result.ok) << result.message();

@@ -106,7 +106,8 @@ TEST(UpdatePipeline, FullLoraFpgaUpdate) {
   FlashModel flash;
   mcu::Msp432 mcu = mcu::baseline_firmware();
   UpdatePlanner planner;
-  auto report = planner.run(image, UpdateTarget::kFpga, 3, link, flash, mcu);
+  auto report = planner.run(UpdatePlanner::prepare(image), UpdateTarget::kFpga,
+                            3, link, flash, mcu);
 
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.original_bytes, 579u * 1024u);
@@ -133,7 +134,8 @@ TEST(UpdatePipeline, EnergyInPaperBallpark) {
   FlashModel flash;
   mcu::Msp432 mcu = mcu::baseline_firmware();
   UpdatePlanner planner;
-  auto report = planner.run(image, UpdateTarget::kFpga, 3, link, flash, mcu);
+  auto report = planner.run(UpdatePlanner::prepare(image), UpdateTarget::kFpga,
+                            3, link, flash, mcu);
   ASSERT_TRUE(report.success);
   EXPECT_GT(report.total_energy.value(), 2000.0);
   EXPECT_LT(report.total_energy.value(), 12000.0);
@@ -147,7 +149,8 @@ TEST(UpdatePipeline, McuTargetUsesSelfFlash) {
   FlashModel flash;
   mcu::Msp432 mcu = mcu::baseline_firmware();
   UpdatePlanner planner;
-  auto report = planner.run(image, UpdateTarget::kMcu, 4, link, flash, mcu);
+  auto report = planner.run(UpdatePlanner::prepare(image), UpdateTarget::kMcu,
+                            4, link, flash, mcu);
   ASSERT_TRUE(report.success);
   EXPECT_GT(report.reprogram_time.value(),
             fpga::ProgrammingModel{}.load_time(78 * 1024).value());

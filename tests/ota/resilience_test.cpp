@@ -149,8 +149,8 @@ TEST(OtaResilience, CorruptedImageRollsBackToGolden) {
   options.faults = &faults;
   options.store = &store;
   UpdatePlanner planner;
-  auto report =
-      planner.run(image, UpdateTarget::kFpga, 8, link, flash, mcu, options);
+  auto report = planner.run(UpdatePlanner::prepare(image), UpdateTarget::kFpga,
+                            8, link, flash, mcu, options);
 
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.failure, UpdateFailure::kImageVerify);
@@ -178,8 +178,8 @@ TEST(OtaResilience, HealthyUpdateActivatesStandbySlot) {
   UpdateOptions options;
   options.store = &store;
   UpdatePlanner planner;
-  auto report =
-      planner.run(image, UpdateTarget::kFpga, 8, link, flash, mcu, options);
+  auto report = planner.run(UpdatePlanner::prepare(image), UpdateTarget::kFpga,
+                            8, link, flash, mcu, options);
 
   ASSERT_TRUE(report.success);
   EXPECT_FALSE(report.rolled_back);
