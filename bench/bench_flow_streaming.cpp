@@ -2,8 +2,8 @@
 // decimate-by-4 -> sink chain run three ways —
 //
 //   copy:     a faithful replica of the original copy-based Ring engine
-//             (vector push/pop staging, per-chunk allocation, whole-vector
-//             FirFilter::filter) as shipped before the SPSC rewrite;
+//             (vector push/pop staging, per-chunk allocation, a per-sample
+//             direct-form FIR) as shipped before the SPSC rewrite;
 //   spsc:     the zero-copy FlowGraph on lock-free SPSC rings, blocks
 //             writing through acquired span views (FirFilter::filter_into
 //             straight into ring memory, no staging vectors);
@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,10 +80,35 @@ class CopyRing {
 
 constexpr std::size_t kCopyChunk = 1024;
 
+// The shipped engine's per-sample FIR: a direct-form filter over a
+// circular delay line, one call per sample.
+class CopyFir {
+ public:
+  explicit CopyFir(std::vector<float> taps)
+      : taps_(std::move(taps)), delay_(taps_.size()) {}
+
+  dsp::Complex process(dsp::Complex in) {
+    delay_[head_] = in;
+    dsp::Complex acc{0.0f, 0.0f};
+    std::size_t idx = head_;
+    for (float tap : taps_) {
+      acc += delay_[idx] * tap;
+      idx = (idx == 0) ? delay_.size() - 1 : idx - 1;
+    }
+    head_ = (head_ + 1) % delay_.size();
+    return acc;
+  }
+
+ private:
+  std::vector<float> taps_;
+  dsp::Samples delay_;
+  std::size_t head_ = 0;
+};
+
 dsp::Samples run_copy_engine() {
   dsp::Nco nco;
   nco.set_frequency(kCycles);
-  dsp::FirFilter fir{dsp::design_lowpass(kFirTaps, kCutoff)};
+  CopyFir fir{dsp::design_lowpass(kFirTaps, kCutoff)};
   CopyRing src_fir, fir_dec;
   dsp::Samples sink;
   sink.reserve(kInputSamples / kDecim + 1);
@@ -104,10 +130,10 @@ dsp::Samples run_copy_engine() {
       }
     }
     // FIR: pop a chunk, filter into a fresh vector, push. The seed's
-    // FirFilter::filter was a per-sample process() loop over a circular
-    // delay line (see git history of src/dsp/fir.cpp); replicate that
-    // here so the baseline measures the engine as it shipped rather
-    // than inheriting the block kernel this rewrite introduced.
+    // FirFilter::filter was a per-sample loop over a circular delay line
+    // (CopyFir); replicate that here so the baseline measures the engine
+    // as it shipped rather than inheriting the block kernel this rewrite
+    // introduced.
     {
       std::size_t n = std::min(src_fir.size(), fir_dec.space());
       if (n > 0) {

@@ -23,6 +23,8 @@ loader the perf gate (scripts/perf_gate.py) builds on. Checks, in order:
        --eq NAME=VALUE      scalar equals VALUE exactly
        --gt NAME=VALUE      scalar is strictly greater than VALUE
        --config-eq NAME=VALUE  config entry equals VALUE exactly
+  5. Any requested cross-file assertions (bench schema only):
+       --same-series NAME   every file has the same rows for the series
 
 Exits 0 when every file passes every check, 1 with a message otherwise.
 """
@@ -236,6 +238,21 @@ def check_file(path, args):
                 f"{path}: scalar {name} == {got}, want > {floor}")
 
 
+def check_same_series(paths, name, schema):
+    """Require identical rows for series `name` in every file."""
+    first = None
+    for path in paths:
+        series = load_bench(path, schema=schema).get("series", {})
+        if name not in series:
+            raise BenchJsonError(f"{path}: no series named {name!r}")
+        rows = series[name]["rows"]
+        if first is None:
+            first = (path, rows)
+        elif rows != first[1]:
+            raise BenchJsonError(
+                f"{path}: series {name!r} rows differ from {first[0]}")
+
+
 def _name_value(text):
     name, sep, value = text.partition("=")
     if not sep or not name:
@@ -264,6 +281,9 @@ def main(argv=None):
     parser.add_argument("--config-eq", action="append", default=[],
                         type=_name_value, metavar="NAME=VALUE",
                         help="require config-block entry equality")
+    parser.add_argument("--same-series", action="append", default=[],
+                        metavar="NAME",
+                        help="require identical series rows in every file")
     args = parser.parse_args(argv)
 
     for path in args.files:
@@ -273,6 +293,14 @@ def main(argv=None):
             print(f"check_bench_json: FAIL: {err}", file=sys.stderr)
             return 1
         print(f"check_bench_json: OK: {path}")
+    for name in args.same_series:
+        try:
+            check_same_series(args.files, name, args.schema)
+        except BenchJsonError as err:
+            print(f"check_bench_json: FAIL: {err}", file=sys.stderr)
+            return 1
+        print(f"check_bench_json: OK: series {name!r} identical in "
+              f"{len(args.files)} files")
     return 0
 
 

@@ -82,6 +82,16 @@ for threads in 1 4; do
     "${fig14_eq[@]}"
 done
 
+echo "== LoRa RX smoke: Fig. 15a concurrent pair at 1 and 4 threads =="
+# The oversampled pair runs the decimating FIR on every trial; the SER
+# curve must not depend on the thread count.
+for threads in 1 4; do
+  ./build/bench/bench_fig15a_concurrent --threads "$threads" \
+    --json "$smoke_dir/fig15a_t$threads.json" > /dev/null
+done
+check_json "$smoke_dir/fig15a_t1.json" "$smoke_dir/fig15a_t4.json" \
+  --series ser_vs_rssi --same-series ser_vs_rssi
+
 echo "== serve smoke: campaign daemon + memoization cache contract =="
 scripts/serve_smoke.sh "$smoke_dir/serve"
 

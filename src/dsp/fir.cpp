@@ -1,5 +1,6 @@
 #include "dsp/fir.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/profile.hpp"
@@ -10,9 +11,10 @@ namespace {
 // One cache-resident tile of the block FIR, over flattened I/Q floats:
 // tap-outer, sample-inner, so every inner loop is a stride-1
 // multiply-accumulate. Each output element still receives its taps in
-// ascending-k order — the same operand values and order as process()
-// (modulo FMA contraction) — and the loop shape is identical for every
-// chunking, so splitting a stream across calls cannot change the bytes.
+// ascending-k order — the same operand values and order as a direct-form
+// loop (modulo FMA contraction) — and the loop shape is identical for
+// every chunking, so splitting a stream across calls cannot change the
+// bytes.
 //
 // restrict is sound: dst is caller storage, base points into either the
 // filter's private scratch copy or the caller's input — never the
@@ -84,18 +86,6 @@ FirFilter::FirFilter(std::vector<float> taps) : taps_(std::move(taps)) {
   delay_.assign(taps_.size(), Complex{0.0f, 0.0f});
 }
 
-Complex FirFilter::process(Complex in) {
-  delay_[head_] = in;
-  Complex acc{0.0f, 0.0f};
-  std::size_t idx = head_;
-  for (float tap : taps_) {
-    acc += delay_[idx] * tap;
-    idx = (idx == 0) ? delay_.size() - 1 : idx - 1;
-  }
-  head_ = (head_ + 1) % delay_.size();
-  return acc;
-}
-
 Samples FirFilter::filter(std::span<const Complex> in) {
   Samples out(in.size());
   filter_into(in, out);
@@ -144,10 +134,48 @@ void FirFilter::filter_into(std::span<const Complex> in,
     fir_tile(of + 2 * i0, xf + 2 * i0, taps_.data(), T, len);
   }
 
-  // Leave the delay line exactly as n process() calls would have.
+  // Leave the delay line holding the last T inputs, newest at head_ - 1.
   for (std::size_t m = 1; m <= std::min(T, n); ++m)
     delay_[(head_ + n - m) % T] = in[n - m];
   head_ = (head_ + n) % T;
+}
+
+// Every product is rounded before it is added: this kernel stays out of
+// the avx2,fma target, and fp-contract=off keeps -march flags that add
+// FMA from fusing it.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("fp-contract=off")))
+#endif
+std::size_t FirFilter::decimate(std::span<const Complex> in,
+                                std::size_t first, std::size_t step,
+                                std::span<Complex> out) const {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+  if (step == 0) throw std::invalid_argument("FirFilter::decimate: step 0");
+  const std::size_t count =
+      first < in.size() ? (in.size() - first - 1) / step + 1 : 0;
+  if (out.size() < count)
+    throw std::invalid_argument("FirFilter::decimate: out too small");
+  if (count == 0) return 0;
+  obs::ProfileScope prof{"fir"};
+
+  const float* h = taps_.data();
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::size_t i = first + j * step;
+    // Taps reaching before index 0 would add x*h = ±0; an accumulator
+    // that starts at +0 never becomes -0, so skipping them is exact.
+    const std::size_t reach = std::min(taps_.size(), i + 1);
+    const Complex* x = in.data() + i;
+    float re = 0.0f;
+    float im = 0.0f;
+    for (std::size_t k = 0; k < reach; ++k) {
+      re += x[-static_cast<std::ptrdiff_t>(k)].real() * h[k];
+      im += x[-static_cast<std::ptrdiff_t>(k)].imag() * h[k];
+    }
+    out[j] = Complex{re, im};
+  }
+  return count;
 }
 
 void FirFilter::reset() {

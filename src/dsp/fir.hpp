@@ -30,23 +30,31 @@ class FirFilter {
   [[nodiscard]] std::size_t tap_count() const { return taps_.size(); }
   [[nodiscard]] const std::vector<float>& taps() const { return taps_; }
 
-  /// Process one sample, returning one output sample (direct form,
-  /// zero-initialized state).
-  [[nodiscard]] Complex process(Complex in);
-
   /// Filter a whole block (stateful: continues from previous calls).
   [[nodiscard]] Samples filter(std::span<const Complex> in);
 
   /// Filter `in` into caller-owned storage (out.size() >= in.size()),
   /// continuing from previous calls with the same state semantics as
-  /// filter()/process(). Each output accumulates taps in the same
-  /// ascending order as process(), but over a contiguous history scratch
-  /// with a vectorizable tap-outer inner loop and no allocation, so
-  /// results can differ from the per-sample path in the last ulp (FMA
-  /// contraction). Chunking is invisible: any split of a stream through
-  /// filter_into produces identical bytes. This is the streaming engine's
-  /// hot path (flow::FirBlock writes straight into a ring's WriteView).
+  /// filter(). Each output accumulates taps in ascending order over a
+  /// contiguous history scratch with a vectorizable tap-outer inner loop
+  /// and no allocation, so results can differ from a direct-form
+  /// per-sample loop in the last ulp (FMA contraction). Chunking is
+  /// invisible: any split of a stream through filter_into produces
+  /// identical bytes. This is the streaming engine's hot path
+  /// (flow::FirBlock writes straight into a ring's WriteView).
   void filter_into(std::span<const Complex> in, std::span<Complex> out);
+
+  /// Decimating block filter from zero history: writes the outputs at
+  /// input indices first, first+step, ... below in.size() to the front of
+  /// `out` and returns their count. Stateless (the delay line is neither
+  /// read nor written), so one const filter can serve many threads. Each
+  /// output is byte-identical to a direct-form filter that starts from a
+  /// +0 accumulator and adds x[i-k]*h[k] in ascending k with every
+  /// product rounded (no FMA contraction). Throws std::invalid_argument
+  /// if step is 0 or `out` cannot hold the outputs.
+  [[nodiscard]] std::size_t decimate(std::span<const Complex> in,
+                                     std::size_t first, std::size_t step,
+                                     std::span<Complex> out) const;
 
   /// Reset internal delay line to zeros.
   void reset();

@@ -198,12 +198,7 @@ class TimedTxGate : public Block {
     }
     // The burst itself.
     std::size_t n = std::min(in.size(), out.size() - produced);
-    std::size_t copied = 0;
-    while (copied < n) {
-      auto src = in.chunk(copied, n - copied);
-      out.write(produced + copied, src);
-      copied += src.size();
-    }
+    copy_samples(in, 0, out, produced, n);
     produced += n;
     // Tail silence once the burst is fully through, if a stream length
     // was requested; returning {0,0} afterwards retires the gate.

@@ -144,7 +144,7 @@ WorkResult InterfererMixBlock::work(const ReadView& in, WriteView& out) {
                                 : e->start + e->length - pos;
       run = static_cast<std::size_t>(
           std::min<std::uint64_t>(n - i, limit));
-      for (std::size_t j = 0; j < run; ++j) out[i + j] = in[i + j];
+      copy_samples(in, i, out, i, run);
     } else {
       if (mixed_.empty()) {
         // Replays run_point's superposition loop verbatim so every float
@@ -161,7 +161,7 @@ WorkResult InterfererMixBlock::work(const ReadView& in, WriteView& out) {
       run = static_cast<std::size_t>(std::min<std::uint64_t>(
           n - i, e->start + e->length - pos));
       const std::size_t off = static_cast<std::size_t>(pos - e->start);
-      for (std::size_t j = 0; j < run; ++j) out[i + j] = mixed_[off + j];
+      out.write(i, std::span<const dsp::Complex>{mixed_.data() + off, run});
     }
     i += run;
   }
@@ -197,7 +197,7 @@ WorkResult AwgnStreamBlock::work(const ReadView& in, WriteView& out) {
           e == nullptr ? std::uint64_t(n - i) : e->start - pos;
       run = static_cast<std::size_t>(
           std::min<std::uint64_t>(n - i, limit));
-      for (std::size_t j = 0; j < run; ++j) out[i + j] = in[i + j];
+      copy_samples(in, i, out, i, run);
     } else {
       if (!channel_)
         channel_.emplace(
@@ -205,7 +205,7 @@ WorkResult AwgnStreamBlock::work(const ReadView& in, WriteView& out) {
             Rng{e->trial_seed, phy::LinkSimulator::kChannelStream});
       run = static_cast<std::size_t>(std::min<std::uint64_t>(
           n - i, e->start + e->length - pos));
-      for (std::size_t j = 0; j < run; ++j) out[i + j] = in[i + j];
+      copy_samples(in, i, out, i, run);
       std::size_t done = 0;
       while (done < run) {
         auto seg = out.chunk(i + done, run - done);
@@ -247,7 +247,7 @@ WorkResult ImpairStreamBlock::work(const ReadView& in, WriteView& out) {
       std::uint64_t limit =
           e == nullptr ? std::uint64_t(n - i) : e->start - pos;
       run = static_cast<std::size_t>(std::min<std::uint64_t>(n - i, limit));
-      for (std::size_t j = 0; j < run; ++j) out[i + j] = in[i + j];
+      copy_samples(in, i, out, i, run);
     } else {
       if (!region_active_) {
         // Fresh per-slot state at region entry: same seeds run_point uses
@@ -261,7 +261,7 @@ WorkResult ImpairStreamBlock::work(const ReadView& in, WriteView& out) {
       }
       run = static_cast<std::size_t>(
           std::min<std::uint64_t>(n - i, e->start + e->length - pos));
-      for (std::size_t j = 0; j < run; ++j) out[i + j] = in[i + j];
+      copy_samples(in, i, out, i, run);
       std::size_t done = 0;
       while (done < run) {
         auto seg = out.chunk(i + done, run - done);
@@ -281,9 +281,13 @@ WorkResult ImpairStreamBlock::work(const ReadView& in, WriteView& out) {
 WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
   const std::size_t n = in.size();
   const std::uint64_t base = in.stream_pos();
-  auto drain_complete = [&] {
-    while (const FrameEntry* e = schedule_->at(cursor_)) {
-      if (region_.size() != e->length) break;
+  std::size_t i = 0;
+  // One schedule lookup per run of samples: a gap is skipped in one step
+  // and a region's samples are appended one contiguous chunk at a time.
+  // Samples past the last published entry are gap: an entry is published
+  // before any of its region is committed.
+  while (const FrameEntry* e = schedule_->at(cursor_)) {
+    if (region_.size() == e->length) {  // zero-length regions need no samples
       phy::FrameResult r = rx_->demodulate(region_, e->payload);
       result_.frames += 1;
       result_.frame_errors += r.frame_ok ? 0 : 1;
@@ -294,15 +298,22 @@ WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
       ++frames_sliced_;
       region_.clear();
       ++cursor_;
+      continue;
     }
-  };
-  drain_complete();  // zero-length regions need no samples
-  for (std::size_t i = 0; i < n; ++i) {
-    const FrameEntry* e = schedule_->at(cursor_);
-    if (e != nullptr && base + i >= e->start) {
-      region_.push_back(in[i]);
-      if (region_.size() == e->length) drain_complete();
+    if (i == n) break;
+    const std::uint64_t pos = base + i;
+    if (pos < e->start) {
+      i += static_cast<std::size_t>(
+          std::min<std::uint64_t>(n - i, e->start - pos));
+      continue;
     }
+    const std::size_t run = std::min(n - i, e->length - region_.size());
+    for (std::size_t done = 0; done < run;) {
+      auto seg = in.chunk(i + done, run - done);
+      region_.insert(region_.end(), seg.begin(), seg.end());
+      done += seg.size();
+    }
+    i += run;
   }
   return {n, 0};
 }

@@ -145,6 +145,20 @@ class WriteView {
   std::uint64_t stream_pos_ = 0;
 };
 
+/// Copy `n` samples of `in` from offset `from` into `out` at offset `to`,
+/// one contiguous chunk at a time.
+inline void copy_samples(const ReadView& in, std::size_t from,
+                         const WriteView& out, std::size_t to,
+                         std::size_t n) {
+  while (n > 0) {
+    auto seg = in.chunk(from, n);
+    out.write(to, seg);
+    from += seg.size();
+    to += seg.size();
+    n -= seg.size();
+  }
+}
+
 class SpscRing {
  public:
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();

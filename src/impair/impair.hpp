@@ -11,7 +11,7 @@
 //   - batch: phy::LinkSimulator's ordered impairment chain, applied per
 //     trial between the interferer mix and the AWGN channel (TX stage) or
 //     after it (RX stage);
-//   - streaming: flow::ImpairStreamBlock / flow::ImpairChainBlock, applying
+//   - streaming: flow::ImpairStreamBlock in flow::StreamingLink, applying
 //     the same chain chunk-by-chunk in ring memory.
 //
 // Determinism contract: apply() must be *chunk-independent* — processing

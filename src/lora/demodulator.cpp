@@ -34,7 +34,7 @@ Demodulator::Demodulator(LoraParams params, Hertz sample_rate,
       oversampling_(0),
       // Cutoff at 0.7*BW keeps the chirp band edge flat through the short
       // filter's wide transition band while still rejecting far noise.
-      fir_prototype_(dsp::design_lowpass(
+      fir_(dsp::design_lowpass(
           fir_taps,
           std::min(0.5,
                    0.7 * params.bandwidth.value() / sample_rate.value()))),
@@ -60,19 +60,12 @@ dsp::Samples Demodulator::condition(std::span<const dsp::Complex> rf) const {
   if (oversampling_ == 1) return dsp::Samples{rf.begin(), rf.end()};
 
   // Fresh filter state per block (the FPGA pipeline resets between
-  // receptions).
-  dsp::FirFilter fir = fir_prototype_;
-  dsp::Samples out;
-  out.reserve(rf.size() / oversampling_ + 1);
-  // Group delay compensation: skip (taps-1)/2 samples of transient.
-  const std::size_t delay = (fir.tap_count() - 1) / 2;
-  std::size_t emitted_index = 0;
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    dsp::Complex y = fir.process(rf[i]);
-    if (i < delay) continue;
-    if (emitted_index % oversampling_ == 0) out.push_back(y);
-    ++emitted_index;
-  }
+  // receptions): decimate() starts from zero history and computes only
+  // the kept outputs. Group delay compensation: the first kept output is
+  // the one at (taps-1)/2.
+  dsp::Samples out(rf.size() / oversampling_ + 1);
+  out.resize(fir_.decimate(rf, (fir_.tap_count() - 1) / 2, oversampling_,
+                           out));
   return out;
 }
 

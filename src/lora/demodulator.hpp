@@ -98,7 +98,7 @@ class Demodulator {
   LoraParams params_;
   Hertz sample_rate_;
   std::uint32_t oversampling_;
-  dsp::FirFilter fir_prototype_;
+  dsp::FirFilter fir_;
   ChirpGenerator chirps_;       ///< critical-rate chirp generator
   dsp::Samples base_up_;
   dsp::Samples base_down_;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <span>
+
+#include "common/rng.hpp"
 
 namespace tinysdr::dsp {
 namespace {
@@ -33,16 +37,17 @@ double tone_gain(FirFilter& f, double freq) {
   // Measure steady-state gain at a normalized frequency.
   f.reset();
   const int n = 4096;
-  double in_power = 0.0, out_power = 0.0;
+  Samples x(n);
   for (int i = 0; i < n; ++i) {
     double angle = 2.0 * std::numbers::pi * freq * i;
-    Complex x{static_cast<float>(std::cos(angle)),
-              static_cast<float>(std::sin(angle))};
-    Complex y = f.process(x);
-    if (i > 200) {  // skip transient
-      in_power += std::norm(x);
-      out_power += std::norm(y);
-    }
+    x[i] = Complex{static_cast<float>(std::cos(angle)),
+                   static_cast<float>(std::sin(angle))};
+  }
+  const Samples y = f.filter(x);
+  double in_power = 0.0, out_power = 0.0;
+  for (int i = 201; i < n; ++i) {  // skip transient
+    in_power += std::norm(x[i]);
+    out_power += std::norm(y[i]);
   }
   return std::sqrt(out_power / in_power);
 }
@@ -82,10 +87,12 @@ TEST(FirFilter, EmptyTapsThrow) {
 
 TEST(FirFilter, ResetClearsState) {
   FirFilter f{design_lowpass(14, 0.25)};
-  (void)f.process(Complex{1.0f, -1.0f});
+  (void)f.filter(Samples{Complex{1.0f, -1.0f}});
   f.reset();
   // After reset, an impulse must reproduce the first tap exactly.
-  Complex y = f.process(Complex{1.0f, 0.0f});
+  const Complex impulse{1.0f, 0.0f};
+  Complex y;
+  f.filter_into(std::span{&impulse, 1}, std::span{&y, 1});
   EXPECT_NEAR(y.real(), f.taps()[0], 1e-7);
 }
 
@@ -105,6 +112,90 @@ TEST(FirFilter, LinearityOverBlocks) {
     EXPECT_NEAR(yab[i].real(), ya[i].real() + yb[i].real(), 1e-5);
     EXPECT_NEAR(yab[i].imag(), ya[i].imag() + yb[i].imag(), 1e-5);
   }
+}
+
+/// Direct-form reference: a +0 accumulator per output that adds
+/// x[i-k]*h[k] for every tap in ascending k, with zero history before the
+/// block.
+Samples reference_decimate(const std::vector<float>& taps,
+                           const Samples& in, std::size_t first,
+                           std::size_t step) {
+  Samples out;
+  for (std::size_t i = first; i < in.size(); i += step) {
+    Complex acc{0.0f, 0.0f};
+    for (std::size_t k = 0; k < taps.size(); ++k)
+      acc += (i >= k ? in[i - k] : Complex{0.0f, 0.0f}) * taps[k];
+    out.push_back(acc);
+  }
+  return out;
+}
+
+TEST(FirFilter, DecimateIsByteEqualToDirectForm) {
+  Rng rng{0xF1D, 3};
+  auto uniform = [&rng] {
+    return static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  };
+  for (std::size_t t = 1; t <= 31; ++t) {
+    std::vector<float> taps(t);
+    for (auto& h : taps) h = uniform();  // mixed signs
+    const FirFilter f{taps};
+    // Signed zeros in either rail, between ordinary samples.
+    Samples x(3 * t);
+    for (auto& v : x) {
+      switch (rng.next_below(4)) {
+        case 0: v = Complex{-0.0f, uniform()}; break;
+        case 1: v = Complex{uniform(), -0.0f}; break;
+        case 2: v = Complex{0.0f, -0.0f}; break;
+        default: v = Complex{uniform(), uniform()}; break;
+      }
+    }
+    for (std::size_t len = 0; len <= x.size(); ++len) {
+      const Samples in(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(len));
+      for (std::size_t step = 1; step <= 8; ++step) {
+        for (std::size_t first = 0; first <= t; ++first) {
+          const Samples want = reference_decimate(taps, in, first, step);
+          Samples got(want.size() + 2, Complex{7.0f, 7.0f});
+          ASSERT_EQ(f.decimate(in, first, step, got), want.size());
+          ASSERT_TRUE(want.empty() ||
+                      std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(Complex)) == 0)
+              << "taps " << t << " len " << len << " step " << step
+              << " first " << first;
+          EXPECT_EQ(got[want.size()], (Complex{7.0f, 7.0f}));
+        }
+      }
+    }
+  }
+}
+
+TEST(FirFilter, DecimateIgnoresAndKeepsStreamState) {
+  FirFilter f{design_lowpass(14, 0.2)};
+  FirFilter fresh{design_lowpass(14, 0.2)};
+  const Samples a{{1, 0}, {0, 1}, {-1, 0}, {0.5, 0.5}};
+  const Samples b{{0, -1}, {2, 0}, {1, 1}, {-0.5, 0}};
+  (void)f.filter(a);
+  (void)fresh.filter(a);
+  // decimate() starts from zero history whatever filter() left behind...
+  Samples got(b.size());
+  ASSERT_EQ(f.decimate(b, 0, 1, got), b.size());
+  const Samples want = reference_decimate(f.taps(), b, 0, 1);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(Complex) * 4), 0);
+  // ...and leaves the stream state as it was.
+  const Samples y = f.filter(b);
+  const Samples y_fresh = fresh.filter(b);
+  EXPECT_EQ(std::memcmp(y.data(), y_fresh.data(), sizeof(Complex) * 4), 0);
+}
+
+TEST(FirFilter, DecimateRejectsBadArguments) {
+  const FirFilter f{design_lowpass(14, 0.2)};
+  const Samples in(10, Complex{1.0f, 0.0f});
+  Samples out(10);
+  EXPECT_THROW((void)f.decimate(in, 0, 0, out), std::invalid_argument);
+  // Outputs at 1, 4, 7: three slots needed.
+  EXPECT_THROW((void)f.decimate(in, 1, 3, std::span{out.data(), 2}),
+               std::invalid_argument);
+  EXPECT_EQ(f.decimate(in, 1, 3, std::span{out.data(), 3}), 3u);
+  EXPECT_EQ(f.decimate(in, 10, 3, std::span<Complex>{}), 0u);
 }
 
 }  // namespace

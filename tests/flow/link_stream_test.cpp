@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "phy/lora_phy.hpp"
 #include "phy/registry.hpp"
 
 namespace tinysdr::flow {
@@ -94,6 +95,43 @@ TEST(FlowThreadedLinkStream, ThreadedRunIsByteIdenticalToo) {
   auto got = stream.run(point, /*threaded=*/true);
   EXPECT_TRUE(got.report.drained());
   EXPECT_EQ(got.point, expected);
+}
+
+TEST(FlowThreadedLinkStream, Fig15aConcurrentLoraMatchesRunPoint) {
+  // Fig. 15a's oversampled pair: the receiver conditions (FIR + decimate)
+  // every frame, and a ring smaller than one frame splits each region
+  // across many slicer activations.
+  const Hertz fs = Hertz::from_kilohertz(500.0);
+  const phy::LoraPhyConfig victim{.params = {8, Hertz::from_kilohertz(125.0)},
+                                  .sample_rate = fs};
+  const phy::LoraPhyConfig other{.params = {8, Hertz::from_kilohertz(250.0)},
+                                 .sample_rate = fs};
+  const phy::LoraSymbolTx tx{victim};
+  const phy::LoraSymbolRx rx{victim};
+  const phy::LoraSymbolTx jam_tx{other};
+  phy::TrialPlan plan;
+  plan.trials = 3;
+  plan.base_seed = 77;
+  plan.noise_figure_db = phy::kLoraSystemNf;
+  const phy::PhyTxInterferer jammer{jam_tx, plan.payload_bytes};
+  const phy::SweepPoint point{Dbm{-123.0}, Dbm{-126.0}};
+
+  phy::LinkSimulator classic{tx, rx, plan};
+  classic.add_interferer(jammer);
+  const auto expected = classic.run_point(point);
+  // Mid-curve: some symbols are lost, not all.
+  ASSERT_GT(expected.symbol_errors, 0u);
+  ASSERT_LT(expected.symbol_errors, expected.symbols);
+
+  for (std::size_t gap : {std::size_t{0}, std::size_t{173}}) {
+    StreamingLink stream{tx, rx, StreamPlan{plan, gap, 1 << 10}};
+    stream.add_interferer(jammer);
+    for (bool threaded : {false, true}) {
+      auto got = stream.run(point, threaded);
+      EXPECT_TRUE(got.report.drained()) << gap << " " << threaded;
+      EXPECT_EQ(got.point, expected) << gap << " " << threaded;
+    }
+  }
 }
 
 }  // namespace
