@@ -92,6 +92,16 @@ done
 check_json "$smoke_dir/fig15a_t1.json" "$smoke_dir/fig15a_t4.json" \
   --series ser_vs_rssi --same-series ser_vs_rssi
 
+echo "== AWGN smoke: Fig. 10 LoRa PER at 1 and 4 threads =="
+# Every trial draws its AWGN through the block Gaussian fill; the PER
+# curve must not depend on the thread count.
+for threads in 1 4; do
+  ./build/bench/bench_fig10_lora_mod_per --threads "$threads" \
+    --json "$smoke_dir/fig10_t$threads.json" > /dev/null
+done
+check_json "$smoke_dir/fig10_t1.json" "$smoke_dir/fig10_t4.json" \
+  --series per_vs_rssi --same-series per_vs_rssi
+
 echo "== serve smoke: campaign daemon + memoization cache contract =="
 scripts/serve_smoke.sh "$smoke_dir/serve"
 

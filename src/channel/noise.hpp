@@ -74,6 +74,12 @@ class AwgnChannel {
   Rng rng_;
 };
 
+/// Add complex AWGN at `snr_db` relative to unit signal power to `signal`
+/// in place, drawing I then Q of each sample from `rng` in order. All
+/// complex AWGN in the simulator is drawn here; splitting a block over
+/// successive calls gives the same bytes as one call.
+void add_awgn(std::span<dsp::Complex> signal, double snr_db, Rng& rng);
+
 /// Superpose `b` onto `a` with `b` scaled by `relative_db` (power dB
 /// relative to a's power). Blocks may have different lengths; `b` starts at
 /// `offset` samples into `a`. Result has a's length.

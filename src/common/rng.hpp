@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <span>
 
 namespace tinysdr {
 
@@ -64,6 +65,11 @@ class Rng {
     has_cached_ = true;
     return mag * std::cos(angle);
   }
+
+  /// Exactly `for (auto& v : out) v = static_cast<float>(next_gaussian());`
+  /// -- the same values, cache and generator state afterwards -- but on
+  /// AVX2+FMA CPUs it evaluates Box–Muller four pairs at a time.
+  void fill_gaussian(std::span<float> out);
 
   bool next_bool(double p_true) { return next_double() < p_true; }
 

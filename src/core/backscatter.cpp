@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "channel/noise.hpp"
 #include "dsp/nco.hpp"
 
 namespace tinysdr::core {
@@ -79,11 +80,7 @@ double backscatter_ber(const BackscatterConfig& config, std::size_t bits,
   auto rf = link.tag_modulate(tx);
 
   // AWGN at the stated carrier SNR (carrier power is ~1).
-  double noise_power = std::pow(10.0, -carrier_snr_db / 10.0);
-  auto sigma = static_cast<float>(std::sqrt(noise_power / 2.0));
-  for (auto& s : rf)
-    s += dsp::Complex{sigma * static_cast<float>(rng.next_gaussian()),
-                      sigma * static_cast<float>(rng.next_gaussian())};
+  channel::add_awgn(rf, carrier_snr_db, rng);
 
   auto rx = link.decode(rf, bits);
   std::size_t errors = 0;

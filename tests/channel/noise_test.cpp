@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 
 namespace tinysdr::channel {
 namespace {
@@ -51,6 +54,29 @@ TEST(AwgnChannel, NoiseOnlyPowerCalibrated) {
   double p = dsp::mean_power(noise);
   // Noise power relative to unit signal = 10^(-6/10).
   EXPECT_NEAR(10.0 * std::log10(p), -6.0, 0.2);
+}
+
+TEST(AwgnChannel, AddNoiseSplitIntoChunksMatchesOneCall) {
+  const Hertz fs = Hertz::from_kilohertz(125.0);
+  for (bool primed : {false, true}) {
+    Rng rng{31};
+    if (primed) (void)rng.next_gaussian();
+    dsp::Samples whole(4099, dsp::Complex{0.5f, -0.25f});
+    AwgnChannel one{fs, 6.0, rng};
+    one.add_noise(whole, 3.0);
+    for (std::size_t chunk : {1u, 3u, 255u, 256u, 257u, 1000u}) {
+      dsp::Samples split(whole.size(), dsp::Complex{0.5f, -0.25f});
+      AwgnChannel chan{fs, 6.0, rng};
+      for (std::size_t i = 0; i < split.size(); i += chunk)
+        chan.add_noise(std::span{split}.subspan(
+                           i, std::min(chunk, split.size() - i)),
+                       3.0);
+      EXPECT_EQ(std::memcmp(split.data(), whole.data(),
+                            whole.size() * sizeof(dsp::Complex)),
+                0)
+          << "chunk " << chunk << " primed " << primed;
+    }
+  }
 }
 
 TEST(Superpose, RelativePowerScaling) {

@@ -103,6 +103,20 @@ TEST(Backscatter, BerDegradesWithSnr) {
   EXPECT_GT(bad, 0.05);
 }
 
+// Pinned on the per-sample next_gaussian noise loop; the block Gaussian
+// fill must leave the BER and the caller's generator state unchanged.
+TEST(Backscatter, BerAndRngStatePinned) {
+  core::BackscatterConfig cfg;
+  Rng rng{17};
+  const double bers[] = {core::backscatter_ber(cfg, 301, -6.0, rng),
+                         core::backscatter_ber(cfg, 301, -3.0, rng),
+                         core::backscatter_ber(cfg, 301, 0.0, rng)};
+  EXPECT_EQ(bers[0], 0x1.c11028d2ec704p-2);
+  EXPECT_EQ(bers[1], 0x1.bda93fc9916f7p-2);
+  EXPECT_EQ(bers[2], 0x1.3fc9916f6a4ffp-2);
+  EXPECT_EQ(rng.next_u32(), 2908761254u);
+}
+
 // -------------------------------------------------------- rate adaptation
 
 TEST(RateAdapt, LadderOrderedFastToSlow) {
