@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
     phy::TrialPlan p = plan;
     p.base_seed = seed;
     phy::LinkSimulator sim{tx, rx, p};
-    sim.set_interferer(other);
+    const phy::PhyTxInterferer interferer{other, p.payload_bytes};
+    sim.add_interferer(interferer);
     return sim.sweep(equal_power, policy);
   };
   auto single = [&](const phy::PhyTx& tx, const phy::PhyRx& rx,
@@ -55,8 +56,7 @@ int main(int argc, char** argv) {
        "single BW250 SER(%)"},
       rows, 2);
 
-  core::ConcurrentReceiver receiver{{rig.cfg125.params, rig.cfg250.params},
-                                    rig.fs};
+  core::ConcurrentReceiver receiver{{rig.cfg125.params, rig.cfg250.params}};
   run.scalar("receiver_luts", static_cast<double>(receiver.design().total_luts()));
   run.scalar("platform_power_mw", receiver.platform_power().value());
 

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
     points.push_back({fixed_a, Dbm{interferer}});
 
   phy::LinkSimulator sim{rig.tx125, rig.rx125, plan};
-  sim.set_interferer(rig.tx250);
+  const phy::PhyTxInterferer interferer{rig.tx250, plan.payload_bytes};
+  sim.add_interferer(interferer);
   auto results = sim.sweep(points, policy);
 
   std::vector<std::vector<double>> rows;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "adversary/jammer.hpp"
 #include "bench_common.hpp"
 #include "flow/link_stream.hpp"
 #include "impair/impair.hpp"
@@ -109,25 +110,33 @@ int main(int argc, char** argv) {
              {"clean PER(%)", "impaired PER(%)", "corrected PER(%)"}, rows,
              2);
 
-  // Batch/stream differential: the same full chain through run_point()
-  // and the streaming flowgraph (gaps + odd ring) must agree bit for bit.
+  // Batch/stream differential: the same full chain and the same two
+  // interferer slots (a concurrent BLE transmitter and a reactive jammer)
+  // through run_point() and the streaming flowgraph (gaps + odd ring) must
+  // agree bit for bit.
   bool batch_stream_identical = true;
   {
     const auto& entry = phy::Registry::builtin().at(phy::Protocol::kZigbee);
     auto tx = entry.make_tx();
     auto rx = entry.make_rx();
+    auto ble_tx = phy::Registry::builtin().at(phy::Protocol::kBle).make_tx();
     phy::TrialPlan plan;
     plan.trials = 5;
     plan.payload_bytes = 8;
     plan.pad_samples = entry.pad_samples;
     plan.noise_figure_db = entry.system_noise_figure_db;
     plan.base_seed = 0xBEE;
-    const phy::SweepPoint point{Dbm{-95.0}, std::nullopt};
+    const phy::SweepPoint point{Dbm{-95.0}, Dbm{-99.0}};
+    const phy::PhyTxInterferer concurrent{*ble_tx, plan.payload_bytes};
+    const adversary::ReactiveJammer jammer{};
+    const Dbm jam_power{-106.0};
 
     const impair::PaClip clip{0.9, 2.0};
     const impair::CfoDrift cfo{0.002, 1e-8};
     const impair::PhaseNoise pn{0.02};
     phy::LinkSimulator classic{*tx, *rx, plan};
+    classic.add_interferer(concurrent);
+    classic.add_interferer(jammer, jam_power);
     classic.add_impairment(clip, impair::Stage::kTx);
     classic.add_impairment(cfo, impair::Stage::kRx);
     classic.add_impairment(pn, impair::Stage::kRx);
@@ -136,6 +145,8 @@ int main(int argc, char** argv) {
     flow::StreamingLink stream{*tx, *rx,
                                flow::StreamPlan{plan, /*gap_samples=*/57,
                                                 /*ring_capacity=*/256}};
+    stream.add_interferer(concurrent);
+    stream.add_interferer(jammer, jam_power);
     stream.add_impairment(clip, impair::Stage::kTx);
     stream.add_impairment(cfo, impair::Stage::kRx);
     stream.add_impairment(pn, impair::Stage::kRx);

@@ -6,7 +6,6 @@
 //   [4] Front-end impairment budget: demodulator SER vs DC/IQ/CFO errors.
 #include "bench_common.hpp"
 #include "channel/noise.hpp"
-#include "core/concurrent.hpp"
 #include "lora/demodulator.hpp"
 #include "lora/modulator.hpp"
 #include "ota/protocol.hpp"

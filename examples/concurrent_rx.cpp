@@ -14,14 +14,20 @@
 #include "dsp/nco.hpp"
 #include "flow/blocks.hpp"
 #include "flow/graph.hpp"
+#include "phy/link_sim.hpp"
+#include "phy/lora_phy.hpp"
 
 using namespace tinysdr;
 using namespace tinysdr::core;
 
 int main() {
-  lora::LoraParams a{8, Hertz::from_kilohertz(125.0)};
-  lora::LoraParams b{8, Hertz::from_kilohertz(250.0)};
-  Hertz fs = Hertz::from_kilohertz(500.0);
+  const Hertz fs = Hertz::from_kilohertz(500.0);
+  const phy::LoraPhyConfig cfg_a{.params = {8, Hertz::from_kilohertz(125.0)},
+                                 .sample_rate = fs};
+  const phy::LoraPhyConfig cfg_b{.params = {8, Hertz::from_kilohertz(250.0)},
+                                 .sample_rate = fs};
+  const lora::LoraParams& a = cfg_a.params;
+  const lora::LoraParams& b = cfg_b.params;
 
   std::cout << "Configurations:\n"
             << "  A: SF8/BW125, chirp slope " << a.chirp_slope() / 1e6
@@ -31,7 +37,7 @@ int main() {
             << "  orthogonal (slopes differ): "
             << (lora::orthogonal(a, b) ? "yes" : "no") << "\n";
 
-  ConcurrentReceiver receiver{{a, b}, fs};
+  ConcurrentReceiver receiver{{a, b}};
   fpga::DeviceSpec device;
   auto design = receiver.design();
   std::cout << "\nResource budget: " << design.total_luts() << " LUTs = "
@@ -40,24 +46,39 @@ int main() {
             << "Power budget: " << receiver.platform_power().value()
             << " mW while decoding both streams (paper: 207 mW)\n";
 
+  // Each branch is a LinkSimulator whose victim is one configuration and
+  // whose PhyTxInterferer is the other, both in one 500 kHz capture: one
+  // trial of 150 payload bytes is 150 SF8 chirp symbols.
+  const phy::LoraSymbolTx tx_a{cfg_a}, tx_b{cfg_b};
+  const phy::LoraSymbolRx rx_a{cfg_a}, rx_b{cfg_b};
+  phy::TrialPlan plan;
+  plan.trials = 1;
+  plan.payload_bytes = 150;
+  plan.noise_figure_db = phy::kLoraSystemNf;
+  plan.base_seed = 42;
+  const phy::PhyTxInterferer from_b{tx_b, plan.payload_bytes};
+  const phy::PhyTxInterferer from_a{tx_a, plan.payload_bytes};
+  phy::LinkSimulator branch_a{tx_a, rx_a, plan};
+  branch_a.add_interferer(from_b);
+  phy::LinkSimulator branch_b{tx_b, rx_b, plan};
+  branch_b.add_interferer(from_a);
+
   std::cout << "\n[1] Equal received power, sweeping level:\n";
   for (double rssi : {-110.0, -118.0, -122.0, -126.0}) {
-    Rng rng{42};
-    auto r = run_concurrent_trial(a, b, Dbm{rssi}, Dbm{rssi}, 150, fs, rng,
-                                  11.5);
-    std::cout << "  " << rssi << " dBm: SER A " << r.ser_a * 100.0
-              << "%, SER B " << r.ser_b * 100.0 << "%  (" << r.symbols_a
-              << "+" << r.symbols_b << " symbols)\n";
+    const phy::SweepPoint point{Dbm{rssi}, Dbm{rssi}};
+    const auto ra = branch_a.run_point(point);
+    const auto rb = branch_b.run_point(point);
+    std::cout << "  " << rssi << " dBm: SER A " << ra.ser() * 100.0
+              << "%, SER B " << rb.ser() * 100.0 << "%  (" << ra.symbols
+              << "+" << rb.symbols << " symbols)\n";
   }
 
   std::cout << "\n[2] A fixed at -123 dBm, interferer B sweeping "
                "(the power-control argument):\n";
   for (double interferer : {-126.0, -118.0, -112.0, -106.0}) {
-    Rng rng{43};
-    auto r = run_concurrent_trial(a, b, Dbm{-123.0}, Dbm{interferer}, 150,
-                                  fs, rng, 11.5);
+    const auto ra = branch_a.run_point({Dbm{-123.0}, Dbm{interferer}});
     std::cout << "  interferer " << interferer << " dBm: SER A "
-              << r.ser_a * 100.0 << "%\n";
+              << ra.ser() * 100.0 << "%\n";
   }
 
   // The "one antenna, two branches" architecture as a flowgraph: the

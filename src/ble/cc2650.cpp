@@ -21,15 +21,4 @@ std::optional<Cc2650Model::Reception> Cc2650Model::receive(
   return out;
 }
 
-double Cc2650Model::measure_ber(const dsp::Samples& waveform,
-                                const std::vector<bool>& reference_bits,
-                                Dbm rssi, Rng& rng) const {
-  channel::AwgnChannel chan{config_.sample_rate(), kNoiseFigureDb, rng};
-  auto noisy = chan.apply(waveform, rssi);
-  GfskDemodulator demod{config_};
-  std::size_t timing = demod.estimate_timing(noisy);
-  auto bits = demod.demodulate(noisy, timing);
-  return aligned_ber(reference_bits, bits);
-}
-
 }  // namespace tinysdr::ble

@@ -33,12 +33,6 @@ class Cc2650Model {
       const dsp::Samples& waveform, const std::vector<bool>& reference_bits,
       int channel_index, Dbm rssi, Rng& rng) const;
 
-  /// Raw bit-error count path (Fig. 12's BER measurement): demodulate and
-  /// compare against the reference bits without requiring CRC success.
-  [[nodiscard]] double measure_ber(const dsp::Samples& waveform,
-                                   const std::vector<bool>& reference_bits,
-                                   Dbm rssi, Rng& rng) const;
-
  private:
   GfskConfig config_;
 };

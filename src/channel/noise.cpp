@@ -45,16 +45,12 @@ void add_awgn(std::span<dsp::Complex> signal, double snr_db, Rng& rng) {
   }
 }
 
-dsp::Samples superpose(const dsp::Samples& a, const dsp::Samples& b,
-                       double relative_db, std::size_t offset) {
+void superpose(std::span<dsp::Complex> a, std::span<const dsp::Complex> b,
+               double relative_db, std::size_t offset) {
+  if (offset >= a.size()) return;
   auto scale = static_cast<float>(std::pow(10.0, relative_db / 20.0));
-  dsp::Samples out = a;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    std::size_t idx = offset + i;
-    if (idx >= out.size()) break;
-    out[idx] += b[i] * scale;
-  }
-  return out;
+  const std::size_t n = std::min(b.size(), a.size() - offset);
+  for (std::size_t i = 0; i < n; ++i) a[offset + i] += b[i] * scale;
 }
 
 dsp::Samples apply_cfo(const dsp::Samples& in, double cycles_per_sample) {

@@ -80,12 +80,11 @@ class AwgnChannel {
 /// successive calls gives the same bytes as one call.
 void add_awgn(std::span<dsp::Complex> signal, double snr_db, Rng& rng);
 
-/// Superpose `b` onto `a` with `b` scaled by `relative_db` (power dB
-/// relative to a's power). Blocks may have different lengths; `b` starts at
-/// `offset` samples into `a`. Result has a's length.
-[[nodiscard]] dsp::Samples superpose(const dsp::Samples& a,
-                                     const dsp::Samples& b, double relative_db,
-                                     std::size_t offset = 0);
+/// Add `b`, scaled by `relative_db` (power dB relative to a's power), onto
+/// `a` in place. Blocks may have different lengths; `b` starts at `offset`
+/// samples into `a`, and whatever runs past a's end is dropped.
+void superpose(std::span<dsp::Complex> a, std::span<const dsp::Complex> b,
+               double relative_db, std::size_t offset = 0);
 
 /// Apply a carrier frequency offset of `cycles_per_sample` to a block.
 [[nodiscard]] dsp::Samples apply_cfo(const dsp::Samples& in,

@@ -4,42 +4,8 @@
 
 namespace tinysdr::core {
 
-namespace {
-
-/// Random chirp-symbol waveform (no preamble — the §6 setup transmits
-/// "random chirp symbols" continuously) at the common rate.
-dsp::Samples random_symbol_waveform(const lora::LoraParams& params,
-                                    Hertz sample_rate,
-                                    std::size_t symbol_count, Rng& rng,
-                                    std::vector<std::uint32_t>& symbols_out) {
-  lora::ChirpGenerator chirps{params, sample_rate};
-  dsp::Samples wave;
-  wave.reserve(symbol_count * chirps.samples_per_symbol());
-  symbols_out.clear();
-  for (std::size_t i = 0; i < symbol_count; ++i) {
-    std::uint32_t value = rng.next_below(params.chips());
-    symbols_out.push_back(value);
-    auto sym = chirps.symbol(value, lora::ChirpDirection::kUp);
-    wave.insert(wave.end(), sym.begin(), sym.end());
-  }
-  return wave;
-}
-
-double symbol_error_rate(const std::vector<std::uint32_t>& tx,
-                         const std::vector<std::uint32_t>& rx) {
-  std::size_t n = std::min(tx.size(), rx.size());
-  if (n == 0) return 1.0;
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (tx[i] != rx[i]) ++errors;
-  return static_cast<double>(errors) / static_cast<double>(n);
-}
-
-}  // namespace
-
-ConcurrentReceiver::ConcurrentReceiver(std::vector<lora::LoraParams> configs,
-                                       Hertz sample_rate)
-    : configs_(std::move(configs)), sample_rate_(sample_rate) {
+ConcurrentReceiver::ConcurrentReceiver(std::vector<lora::LoraParams> configs)
+    : configs_(std::move(configs)) {
   if (configs_.size() < 2)
     throw std::invalid_argument("ConcurrentReceiver: need >= 2 branches");
   for (std::size_t i = 0; i < configs_.size(); ++i)
@@ -47,19 +13,6 @@ ConcurrentReceiver::ConcurrentReceiver(std::vector<lora::LoraParams> configs,
       if (!lora::orthogonal(configs_[i], configs_[j]))
         throw std::invalid_argument(
             "ConcurrentReceiver: branch chirp slopes must differ");
-  for (const auto& cfg : configs_) demods_.emplace_back(cfg, sample_rate);
-}
-
-std::vector<std::vector<std::uint32_t>> ConcurrentReceiver::demodulate_aligned(
-    const dsp::Samples& combined, std::size_t count_per_branch) const {
-  std::vector<std::vector<std::uint32_t>> out;
-  out.reserve(demods_.size());
-  for (const auto& demod : demods_) {
-    auto conditioned = demod.condition(combined);
-    out.push_back(
-        demod.demodulate_aligned(conditioned, 0, count_per_branch));
-  }
-  return out;
 }
 
 fpga::Design ConcurrentReceiver::design() const {
@@ -73,57 +26,6 @@ Milliwatts ConcurrentReceiver::platform_power() const {
   power::PlatformPowerModel model;
   return model.draw_with_design(power::Activity::kConcurrentReceive,
                                 design());
-}
-
-ConcurrentTrialResult run_concurrent_trial(const lora::LoraParams& config_a,
-                                           const lora::LoraParams& config_b,
-                                           Dbm rssi_a, Dbm rssi_b,
-                                           std::size_t symbol_count,
-                                           Hertz sample_rate, Rng& rng,
-                                           double noise_figure_db) {
-  std::vector<std::uint32_t> tx_a, tx_b;
-  auto wave_a =
-      random_symbol_waveform(config_a, sample_rate, symbol_count, rng, tx_a);
-
-  // Match transmitter B's waveform duration to A's so both are continuous
-  // over the same window.
-  lora::ChirpGenerator chirps_b{config_b, sample_rate};
-  std::size_t count_b =
-      wave_a.size() / chirps_b.samples_per_symbol();
-  auto wave_b =
-      random_symbol_waveform(config_b, sample_rate, count_b, rng, tx_b);
-
-  // Superpose at the requested relative power; add noise calibrated to A's
-  // RSSI over the common sampling bandwidth.
-  auto combined = channel::superpose(wave_a, wave_b, rssi_b - rssi_a);
-  channel::AwgnChannel chan{sample_rate, noise_figure_db, rng};
-  auto noisy = chan.apply(combined, rssi_a);
-
-  ConcurrentReceiver receiver{{config_a, config_b}, sample_rate};
-  // Demodulate as many whole symbols as fit on each branch (branch B's
-  // shorter symbols yield proportionally more).
-  auto rx = receiver.demodulate_aligned(noisy, noisy.size());
-
-  ConcurrentTrialResult result;
-  result.ser_a = symbol_error_rate(tx_a, rx[0]);
-  result.ser_b = symbol_error_rate(tx_b, rx[1]);
-  result.symbols_a = std::min(tx_a.size(), rx[0].size());
-  result.symbols_b = std::min(tx_b.size(), rx[1].size());
-  return result;
-}
-
-double run_single_trial(const lora::LoraParams& config, Dbm rssi,
-                        std::size_t symbol_count, Hertz sample_rate, Rng& rng,
-                        double noise_figure_db) {
-  std::vector<std::uint32_t> tx;
-  auto wave = random_symbol_waveform(config, sample_rate, symbol_count, rng, tx);
-  channel::AwgnChannel chan{sample_rate, noise_figure_db, rng};
-  auto noisy = chan.apply(wave, rssi);
-
-  lora::Demodulator demod{config, sample_rate};
-  auto conditioned = demod.condition(noisy);
-  auto rx = demod.demodulate_aligned(conditioned, 0, symbol_count);
-  return symbol_error_rate(tx, rx);
 }
 
 }  // namespace tinysdr::core

@@ -4,38 +4,24 @@
 // LoRa transmissions in real time? Orthogonal chirp slopes (different
 // SF/BW combinations) can share a channel; tinySDR instantiates one
 // dechirp+FFT branch per configuration on the FPGA, sharing the
-// deserializer/FIR front end. This module mirrors that: N demodulator
-// branches consuming one combined waveform, plus the §6 evaluation driver
-// that measures per-branch chirp symbol error rates (Fig. 15).
+// deserializer/FIR front end. This module sizes that receiver: its FPGA
+// design and platform power. The Fig. 15 decode quality is measured by
+// phy::LinkSimulator with a phy::PhyTxInterferer (bench_fig15a/15b).
 #pragma once
 
 #include <vector>
 
-#include "channel/noise.hpp"
 #include "fpga/resources.hpp"
-#include "lora/demodulator.hpp"
-#include "lora/modulator.hpp"
+#include "lora/params.hpp"
 #include "power/platform_power.hpp"
 
 namespace tinysdr::core {
 
 class ConcurrentReceiver {
  public:
-  /// @param configs      one LoRa configuration per branch; all slopes
-  ///                     should differ (checked) for orthogonality
-  /// @param sample_rate  common front-end rate (integer multiple of every
-  ///                     branch bandwidth)
-  ConcurrentReceiver(std::vector<lora::LoraParams> configs, Hertz sample_rate);
-
-  [[nodiscard]] std::size_t branch_count() const { return demods_.size(); }
-  [[nodiscard]] const lora::Demodulator& branch(std::size_t i) const {
-    return demods_.at(i);
-  }
-
-  /// Demodulate `count` aligned symbols on every branch from the combined
-  /// waveform (alignment at sample 0, the §6 measurement setup).
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> demodulate_aligned(
-      const dsp::Samples& combined, std::size_t count_per_branch) const;
+  /// @param configs  one LoRa configuration per branch; all slopes must
+  ///                 differ (checked) for orthogonality
+  explicit ConcurrentReceiver(std::vector<lora::LoraParams> configs);
 
   /// FPGA design implementing this receiver (shares the front end).
   [[nodiscard]] fpga::Design design() const;
@@ -45,31 +31,6 @@ class ConcurrentReceiver {
 
  private:
   std::vector<lora::LoraParams> configs_;
-  Hertz sample_rate_;
-  std::vector<lora::Demodulator> demods_;
 };
-
-/// One Fig. 15 trial: two transmitters send `symbol_count` random chirp
-/// symbols each (truncated to what fits the common duration), superposed at
-/// the given RSSIs plus AWGN; returns the per-branch symbol error rate.
-struct ConcurrentTrialResult {
-  double ser_a = 0.0;
-  double ser_b = 0.0;
-  std::size_t symbols_a = 0;
-  std::size_t symbols_b = 0;
-};
-
-[[nodiscard]] ConcurrentTrialResult run_concurrent_trial(
-    const lora::LoraParams& config_a, const lora::LoraParams& config_b,
-    Dbm rssi_a, Dbm rssi_b, std::size_t symbol_count, Hertz sample_rate,
-    Rng& rng, double noise_figure_db = channel::kDefaultNoiseFigureDb);
-
-/// Single-transmitter baseline SER at a given RSSI (the Fig. 11 pipeline),
-/// for quantifying the concurrency penalty.
-[[nodiscard]] double run_single_trial(const lora::LoraParams& config,
-                                      Dbm rssi, std::size_t symbol_count,
-                                      Hertz sample_rate, Rng& rng,
-                                      double noise_figure_db =
-                                          channel::kDefaultNoiseFigureDb);
 
 }  // namespace tinysdr::core

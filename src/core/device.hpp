@@ -14,7 +14,6 @@
 #include "ble/advertiser.hpp"
 #include "radio/builtin_modem.hpp"
 #include "zigbee/oqpsk.hpp"
-#include "core/concurrent.hpp"
 #include "fpga/bitstream.hpp"
 #include "fpga/programming.hpp"
 #include "lora/demodulator.hpp"

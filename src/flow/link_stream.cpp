@@ -26,63 +26,26 @@ std::size_t FrameSchedule::size() const {
   return entries_.size();
 }
 
-FrameStreamSource::FrameStreamSource(
-    const phy::PhyTx& tx, const StreamPlan& plan, const phy::SweepPoint& point,
-    std::vector<std::pair<const phy::Interferer*, std::optional<Dbm>>> slots,
-    FrameSchedule* schedule)
+FrameStreamSource::FrameStreamSource(const phy::LinkSimulator& sim,
+                                     const StreamPlan& plan,
+                                     const phy::SweepPoint& point,
+                                     FrameSchedule* schedule)
     : Block("frame_stream:" +
-            std::string(phy::protocol_name(tx.protocol()))),
-      tx_(&tx),
+            std::string(phy::protocol_name(sim.tx().protocol()))),
+      sim_(&sim),
       plan_(&plan),
       point_(point),
-      slots_(std::move(slots)),
       schedule_(schedule),
       point_seed_(phy::LinkSimulator::point_seed(plan.trial.base_seed,
                                                  point.rssi.value())) {}
 
 void FrameStreamSource::stage_frame(std::uint64_t start) {
-  // Identical derivations to LinkSimulator::run_point's trial loop: same
-  // trial seed, same payload/interferer RNG streams, same padded layout.
+  // The same trial seed run_point derives for this trial index.
   const std::uint64_t tseed = exec::stream_seed(point_seed_, frame_idx_);
-  FrameEntry entry;
-  entry.start = start;
-  entry.trial_seed = tseed;
-
-  if (plan_->trial.fixed_payload) {
-    entry.payload = *plan_->trial.fixed_payload;
-  } else {
-    Rng payload_rng{tseed, phy::LinkSimulator::kPayloadStream};
-    entry.payload.resize(
-        std::min(plan_->trial.payload_bytes, tx_->max_payload()));
-    for (auto& b : entry.payload) b = payload_rng.next_byte();
-  }
-
-  staged_.clear();
-  staged_.insert(staged_.end(), plan_->trial.pad_samples,
-                 dsp::Complex{0.0f, 0.0f});
-  tx_->modulate(entry.payload, staged_);
-  staged_.insert(staged_.end(), plan_->trial.pad_samples,
-                 dsp::Complex{0.0f, 0.0f});
-  entry.length = staged_.size();
-
-  for (std::size_t k = 0; k < slots_.size(); ++k) {
-    std::optional<Dbm> power =
-        slots_[k].second ? slots_[k].second : point_.interferer_rssi;
-    if (!power) continue;
-    Rng interferer_rng{
-        tseed, k == 0 ? phy::LinkSimulator::kInterfererStream
-                      : phy::LinkSimulator::kExtraInterfererBase + k};
-    dsp::Samples wave;
-    slots_[k].first->emit(staged_, wave, interferer_rng);
-    if (wave.empty()) continue;
-    entry.waves.push_back(std::move(wave));
-    entry.rel_dbs.push_back(power->value() - point_.rssi.value());
-  }
-  if (!entry.waves.empty()) entry.clean = staged_;
-
+  sim_->transmit(point_, tseed, buf_);
   // Publish before any region sample is committed: consumers that can see
   // a position are guaranteed to see its entry.
-  schedule_->push(std::move(entry));
+  schedule_->push({start, buf_.wave.size(), tseed, buf_.payload});
 }
 
 WorkResult FrameStreamSource::work(const ReadView&, WriteView& out) {
@@ -99,16 +62,16 @@ WorkResult FrameStreamSource::work(const ReadView&, WriteView& out) {
     } else if (frame_idx_ >= trials) {
       break;
     } else {
-      if (region_pos_ == 0 && staged_.empty())
+      if (region_pos_ == 0 && buf_.wave.empty())
         stage_frame(out.stream_pos() + produced);
       std::size_t n =
-          std::min(staged_.size() - region_pos_, out.size() - produced);
+          std::min(buf_.wave.size() - region_pos_, out.size() - produced);
       out.write(produced, std::span<const dsp::Complex>{
-                              staged_.data() + region_pos_, n});
+                              buf_.wave.data() + region_pos_, n});
       region_pos_ += n;
       produced += n;
-      if (region_pos_ == staged_.size()) {
-        staged_.clear();
+      if (region_pos_ == buf_.wave.size()) {
+        buf_.wave.clear();
         region_pos_ = 0;
         ++frame_idx_;
         in_gap_ = true;
@@ -123,59 +86,13 @@ bool FrameStreamSource::finished() const {
   return frame_idx_ >= plan_->trial.trials && gap_left_ == 0;
 }
 
-WorkResult InterfererMixBlock::work(const ReadView& in, WriteView& out) {
-  const std::size_t n = std::min(in.size(), out.size());
-  const std::uint64_t base = in.stream_pos();
-  std::size_t i = 0;
-  while (i < n) {
-    const std::uint64_t pos = base + i;
-    const FrameEntry* e = schedule_->at(cursor_);
-    while (e != nullptr && pos >= e->start + e->length) {
-      ++cursor_;
-      mixed_.clear();
-      e = schedule_->at(cursor_);
-    }
-    std::size_t run;
-    if (e == nullptr || pos < e->start || e->waves.empty()) {
-      // Gap silence, or a region with no active interferer: passthrough.
-      std::uint64_t limit = e == nullptr ? std::uint64_t(n - i)
-                            : pos < e->start
-                                ? e->start - pos
-                                : e->start + e->length - pos;
-      run = static_cast<std::size_t>(
-          std::min<std::uint64_t>(n - i, limit));
-      copy_samples(in, i, out, i, run);
-    } else {
-      if (mixed_.empty()) {
-        // Replays run_point's superposition loop verbatim so every float
-        // lands in the same place.
-        const dsp::Samples* signal = &e->clean;
-        dsp::Samples combined;
-        for (std::size_t k = 0; k < e->waves.size(); ++k) {
-          combined =
-              channel::superpose(*signal, e->waves[k], e->rel_dbs[k]);
-          signal = &combined;
-        }
-        mixed_ = std::move(combined);
-      }
-      run = static_cast<std::size_t>(std::min<std::uint64_t>(
-          n - i, e->start + e->length - pos));
-      const std::size_t off = static_cast<std::size_t>(pos - e->start);
-      out.write(i, std::span<const dsp::Complex>{mixed_.data() + off, run});
-    }
-    i += run;
-  }
-  return {n, n};
-}
-
 AwgnStreamBlock::AwgnStreamBlock(const FrameSchedule* schedule,
-                                 Hertz sample_rate, double noise_figure_db,
-                                 Dbm rssi)
+                                 const phy::LinkSimulator& sim, Dbm rssi)
     : Block("awgn_channel"),
       schedule_(schedule),
-      sample_rate_(sample_rate),
-      noise_figure_db_(noise_figure_db),
-      snr_db_(rssi - channel::noise_floor(sample_rate, noise_figure_db)) {}
+      sim_(&sim),
+      // The SNR depends on the noise bandwidth and figure, not the seed.
+      snr_db_(sim.channel(0).snr_db(rssi)) {}
 
 WorkResult AwgnStreamBlock::work(const ReadView& in, WriteView& out) {
   const std::size_t n = std::min(in.size(), out.size());
@@ -199,10 +116,7 @@ WorkResult AwgnStreamBlock::work(const ReadView& in, WriteView& out) {
           std::min<std::uint64_t>(n - i, limit));
       copy_samples(in, i, out, i, run);
     } else {
-      if (!channel_)
-        channel_.emplace(
-            sample_rate_, noise_figure_db_,
-            Rng{e->trial_seed, phy::LinkSimulator::kChannelStream});
+      if (!channel_) channel_.emplace(sim_->channel(e->trial_seed));
       run = static_cast<std::size_t>(std::min<std::uint64_t>(
           n - i, e->start + e->length - pos));
       copy_samples(in, i, out, i, run);
@@ -288,13 +202,7 @@ WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
   // before any of its region is committed.
   while (const FrameEntry* e = schedule_->at(cursor_)) {
     if (region_.size() == e->length) {  // zero-length regions need no samples
-      phy::FrameResult r = rx_->demodulate(region_, e->payload);
-      result_.frames += 1;
-      result_.frame_errors += r.frame_ok ? 0 : 1;
-      result_.bits += r.bits;
-      result_.bit_errors += r.bit_errors;
-      result_.symbols += r.symbols;
-      result_.symbol_errors += r.symbol_errors;
+      result_.add(rx_->demodulate(region_, e->payload));
       ++frames_sliced_;
       region_.clear();
       ++cursor_;
@@ -320,58 +228,34 @@ WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
 
 StreamingLink::StreamingLink(const phy::PhyTx& tx, const phy::PhyRx& rx,
                              StreamPlan plan)
-    : tx_(&tx), rx_(&rx), plan_(std::move(plan)) {}
-
-void StreamingLink::add_interferer(const phy::Interferer& source,
-                                   std::optional<Dbm> power) {
-  slots_.emplace_back(&source, power);
-}
-
-void StreamingLink::add_impairment(const impair::Impairment& block,
-                                   impair::Stage stage) {
-  impairments_.push_back({&block, stage});
-}
+    : plan_(std::move(plan)), sim_(tx, rx, plan_.trial) {}
 
 StreamResult StreamingLink::run(const phy::SweepPoint& point,
                                 bool threaded) const {
   FrameSchedule schedule;
   FlowGraph graph;
-  const Hertz rate = plan_.trial.channel_rate.value_or(rx_->sample_rate());
+  auto stage_block = [&](impair::Stage stage) -> ImpairStreamBlock* {
+    const impair::Chain& chain = sim_.impairments();
+    if (std::none_of(chain.begin(), chain.end(),
+                     [&](const auto& slot) { return slot.stage == stage; }))
+      return nullptr;
+    return graph.add_block<ImpairStreamBlock>(&schedule, chain, stage);
+  };
 
-  bool has_tx_impair = false;
-  bool has_rx_impair = false;
-  for (const auto& slot : impairments_) {
-    if (slot.stage == impair::Stage::kTx) has_tx_impair = true;
-    if (slot.stage == impair::Stage::kRx) has_rx_impair = true;
-  }
+  auto* src =
+      graph.add_block<FrameStreamSource>(sim_, plan_, point, &schedule);
+  ImpairStreamBlock* tx_imp = stage_block(impair::Stage::kTx);
+  auto* awgn = graph.add_block<AwgnStreamBlock>(&schedule, sim_, point.rssi);
+  ImpairStreamBlock* rx_imp = stage_block(impair::Stage::kRx);
+  auto* sink = graph.add_block<FrameSlicerSink>(sim_.rx(), &schedule);
 
-  auto* src = graph.add_block<FrameStreamSource>(*tx_, plan_, point, slots_,
-                                                 &schedule);
-  auto* mix = graph.add_block<InterfererMixBlock>(&schedule);
-  ImpairStreamBlock* tx_imp =
-      has_tx_impair ? graph.add_block<ImpairStreamBlock>(
-                          &schedule, impairments_, impair::Stage::kTx)
-                    : nullptr;
-  auto* awgn = graph.add_block<AwgnStreamBlock>(
-      &schedule, rate, plan_.trial.noise_figure_db, point.rssi);
-  ImpairStreamBlock* rx_imp =
-      has_rx_impair ? graph.add_block<ImpairStreamBlock>(
-                          &schedule, impairments_, impair::Stage::kRx)
-                    : nullptr;
-  auto* sink = graph.add_block<FrameSlicerSink>(*rx_, &schedule);
-  graph.connect(src, mix, plan_.ring_capacity);
-  if (tx_imp != nullptr) {
-    graph.connect(mix, tx_imp, plan_.ring_capacity);
-    graph.connect(tx_imp, awgn, plan_.ring_capacity);
-  } else {
-    graph.connect(mix, awgn, plan_.ring_capacity);
-  }
-  if (rx_imp != nullptr) {
-    graph.connect(awgn, rx_imp, plan_.ring_capacity);
-    graph.connect(rx_imp, sink, plan_.ring_capacity);
-  } else {
-    graph.connect(awgn, sink, plan_.ring_capacity);
-  }
+  std::vector<Block*> path{src};
+  if (tx_imp != nullptr) path.push_back(tx_imp);
+  path.push_back(awgn);
+  if (rx_imp != nullptr) path.push_back(rx_imp);
+  path.push_back(sink);
+  for (std::size_t i = 1; i < path.size(); ++i)
+    graph.connect(path[i - 1], path[i], plan_.ring_capacity);
 
   StreamResult result;
   result.report = threaded ? graph.run_threaded() : graph.run();
@@ -383,18 +267,9 @@ StreamResult StreamingLink::run(const phy::SweepPoint& point,
         .add(static_cast<double>(result.point.frames));
     m->counter("flow.stream.samples")
         .add(static_cast<double>(result.report.samples_streamed));
-    // Chain-order totals added once per run, like run_point — journaled
-    // metrics stay identical across ring sizes and schedulers.
-    for (const auto& slot : impairments_) {
-      const ImpairStreamBlock* stage_block =
-          slot.stage == impair::Stage::kTx ? tx_imp : rx_imp;
-      m->counter("impair." + std::string(impair::stage_name(slot.stage)) +
-                 "." + std::string(slot.impairment->name()) + ".samples")
-          .add(stage_block == nullptr
-                   ? 0.0
-                   : static_cast<double>(stage_block->samples_processed()));
-    }
   }
+  sim_.count_impaired(tx_imp != nullptr ? tx_imp->samples_processed() : 0,
+                      rx_imp != nullptr ? rx_imp->samples_processed() : 0);
   return result;
 }
 

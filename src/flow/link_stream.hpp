@@ -6,21 +6,21 @@
 // back-to-back through a live channel. StreamingLink runs the same
 // experiment as one continuous sample stream:
 //
-//   FrameStreamSource -> InterfererMixBlock -> AwgnStreamBlock
+//   FrameStreamSource -> [TX impair] -> AwgnStreamBlock -> [RX impair]
 //                     -> FrameSlicerSink
 //
-// The source modulates frame after frame (pad + waveform + pad, then an
-// inter-frame gap of silence) and publishes a FrameSchedule entry per
-// frame; the channel blocks look the schedule up by absolute stream
-// position (ReadView::stream_pos) to know which trial's RNG drives each
-// sample; the slicer reassembles each frame region and demodulates it.
+// The source runs LinkSimulator::transmit() frame after frame (pad +
+// waveform + pad with the interferers mixed in, then an inter-frame gap
+// of silence) and publishes a FrameSchedule entry per frame; the channel
+// blocks look the schedule up by absolute stream position
+// (ReadView::stream_pos) to know which trial's RNG drives each sample;
+// the slicer reassembles each frame region and demodulates it.
 //
-// Determinism contract: every random draw replays LinkSimulator's exact
-// streams (payload / interferer / channel selectors off the same
-// (point, trial) seeds) and every float lands in the same accumulation
-// order, so the aggregated PointResult is byte-identical to
-// LinkSimulator::run_point() for the same plan and point — pinned by
-// tests, and equally true for run() and run_threaded().
+// Determinism contract: the transmit side and the channel come from the
+// held LinkSimulator off the same (point, trial) seeds, and every float
+// lands in the same accumulation order, so the aggregated PointResult is
+// byte-identical to LinkSimulator::run_point() for the same plan and
+// point — pinned by tests, and equally true for run() and run_threaded().
 #pragma once
 
 #include <cstdint>
@@ -49,19 +49,12 @@ struct StreamPlan {
 };
 
 /// One frame's region in the stream: where it sits, what was sent, and
-/// the randomness that shaped it. Immutable once published.
+/// the seed of the randomness that shapes it. Immutable once published.
 struct FrameEntry {
   std::uint64_t start = 0;   ///< absolute stream position of the region
   std::size_t length = 0;    ///< pad + waveform + pad
   std::uint64_t trial_seed = 0;
   std::vector<std::uint8_t> payload;
-  /// Interferer emissions for this frame, one per active slot, plus the
-  /// clean region they superpose onto (populated only when waves exist).
-  /// The mix block replays channel::superpose over these verbatim, so the
-  /// combined region is bit-for-bit what run_point() computes.
-  std::vector<dsp::Samples> waves;
-  std::vector<double> rel_dbs;  ///< per-wave power relative to the signal
-  dsp::Samples clean;
 };
 
 /// Append-only, position-ordered frame metadata shared by the source and
@@ -82,15 +75,13 @@ class FrameSchedule {
   std::deque<FrameEntry> entries_;
 };
 
-/// Source: modulates the plan's trials as one continuous stream of frame
-/// regions separated by gaps, publishing a FrameEntry per region.
+/// Source: runs the simulator's transmit side for each of the plan's
+/// trials and streams the regions back to back, separated by gaps,
+/// publishing a FrameEntry per region.
 class FrameStreamSource : public Block {
  public:
-  FrameStreamSource(const phy::PhyTx& tx, const StreamPlan& plan,
-                    const phy::SweepPoint& point,
-                    std::vector<std::pair<const phy::Interferer*,
-                                          std::optional<Dbm>>> slots,
-                    FrameSchedule* schedule);
+  FrameStreamSource(const phy::LinkSimulator& sim, const StreamPlan& plan,
+                    const phy::SweepPoint& point, FrameSchedule* schedule);
 
   WorkResult work(const ReadView& in, WriteView& out) override;
   [[nodiscard]] bool finished() const override;
@@ -98,49 +89,32 @@ class FrameStreamSource : public Block {
  private:
   void stage_frame(std::uint64_t start);
 
-  const phy::PhyTx* tx_;
+  const phy::LinkSimulator* sim_;
   const StreamPlan* plan_;
   phy::SweepPoint point_;
-  std::vector<std::pair<const phy::Interferer*, std::optional<Dbm>>> slots_;
   FrameSchedule* schedule_;
   std::uint64_t point_seed_ = 0;
 
   std::size_t frame_idx_ = 0;
-  dsp::Samples staged_;        ///< current region's clean padded waveform
+  phy::TrialBuffers buf_;      ///< current region in buf_.wave
   std::size_t region_pos_ = 0;
   std::size_t gap_left_ = 0;
   bool in_gap_ = false;
 };
 
-/// Superposes each schedule entry's interferer overlays onto the stream
-/// (the only thing between frame regions is silence, passed through).
-class InterfererMixBlock : public Block {
- public:
-  explicit InterfererMixBlock(const FrameSchedule* schedule)
-      : Block("interferer_mix"), schedule_(schedule) {}
-
-  WorkResult work(const ReadView& in, WriteView& out) override;
-
- private:
-  const FrameSchedule* schedule_;
-  std::size_t cursor_ = 0;
-  dsp::Samples mixed_;  ///< current region after superposition
-};
-
-/// AWGN channel as a stream block: each frame region gets its own
-/// AwgnChannel seeded from the entry's trial seed (LinkSimulator's channel
-/// stream), gaps stay noiseless — exactly what the per-trial engine does.
+/// AWGN channel as a stream block: each frame region gets the simulator's
+/// AwgnChannel for the entry's trial seed, gaps stay noiseless — exactly
+/// what the per-trial engine does.
 class AwgnStreamBlock : public Block {
  public:
-  AwgnStreamBlock(const FrameSchedule* schedule, Hertz sample_rate,
-                  double noise_figure_db, Dbm rssi);
+  AwgnStreamBlock(const FrameSchedule* schedule, const phy::LinkSimulator& sim,
+                  Dbm rssi);
 
   WorkResult work(const ReadView& in, WriteView& out) override;
 
  private:
   const FrameSchedule* schedule_;
-  Hertz sample_rate_;
-  double noise_figure_db_;
+  const phy::LinkSimulator* sim_;
   double snr_db_ = 0.0;
   std::size_t cursor_ = 0;
   std::optional<channel::AwgnChannel> channel_;  ///< current region's RNG
@@ -209,26 +183,28 @@ struct StreamResult {
   RunReport report;
 };
 
-/// The streaming trial engine. Borrows the TX/RX and any attached
-/// interferers; they must outlive it and be safe for concurrent const use.
+/// The streaming trial engine: a LinkSimulator whose trials run as one
+/// stream. Borrows the TX/RX and any attached interferers; they must
+/// outlive it and be safe for concurrent const use.
 class StreamingLink {
  public:
   StreamingLink(const phy::PhyTx& tx, const phy::PhyRx& rx, StreamPlan plan);
 
-  /// Attach an interferer exactly as LinkSimulator::add_interferer does:
-  /// `power` fixes its received power, nullopt defers to the sweep
-  /// point's interferer_rssi.
+  /// LinkSimulator::add_interferer on the held simulator.
   void add_interferer(const phy::Interferer& source,
-                      std::optional<Dbm> power = std::nullopt);
+                      std::optional<Dbm> power = std::nullopt) {
+    sim_.add_interferer(source, power);
+  }
 
-  /// Append an impairment block exactly as LinkSimulator::add_impairment
-  /// does: same chain order, same stage placement (TX between the
-  /// interferer mix and the AWGN channel, RX after it), same RNG streams —
-  /// run() stays byte-identical to run_point() with the same chain.
-  void add_impairment(const impair::Impairment& block, impair::Stage stage);
+  /// LinkSimulator::add_impairment on the held simulator: same chain
+  /// order, stage placement and RNG streams, so run() stays byte-identical
+  /// to run_point() with the same chain.
+  void add_impairment(const impair::Impairment& block, impair::Stage stage) {
+    sim_.add_impairment(block, stage);
+  }
 
   [[nodiscard]] const impair::Chain& impairments() const {
-    return impairments_;
+    return sim_.impairments();
   }
 
   [[nodiscard]] const StreamPlan& plan() const { return plan_; }
@@ -239,11 +215,8 @@ class StreamingLink {
                                  bool threaded = false) const;
 
  private:
-  const phy::PhyTx* tx_;
-  const phy::PhyRx* rx_;
   StreamPlan plan_;
-  std::vector<std::pair<const phy::Interferer*, std::optional<Dbm>>> slots_;
-  impair::Chain impairments_;
+  phy::LinkSimulator sim_;
 };
 
 }  // namespace tinysdr::flow

@@ -3,24 +3,11 @@
 namespace tinysdr::lora {
 
 Sx1276Model::Sx1276Model(LoraParams params)
-    : params_(params),
-      modulator_(params, params.bandwidth),
-      demodulator_(params, params.bandwidth) {}
+    : params_(params), modulator_(params, params.bandwidth) {}
 
 dsp::Samples Sx1276Model::transmit(
     std::span<const std::uint8_t> payload) const {
   return modulator_.modulate(payload);
-}
-
-std::optional<std::vector<std::uint8_t>> Sx1276Model::receive(
-    const dsp::Samples& waveform, Dbm rssi, Rng& rng) const {
-  channel::AwgnChannel chan{params_.bandwidth, kNoiseFigureDb, rng};
-  dsp::Samples noisy = chan.apply(waveform, rssi);
-  auto result = demodulator_.receive(noisy);
-  if (!result) return std::nullopt;
-  if (!result->packet.header_valid || !result->packet.crc_valid)
-    return std::nullopt;
-  return result->packet.payload;
 }
 
 }  // namespace tinysdr::lora

@@ -5,24 +5,16 @@
 // evaluation is its datasheet sensitivity (the reference curves in
 // Figs. 10/11) and that it exposes only packet-level results (PER) — "the
 // Semtech LoRa transceiver does not give access to symbol error rate"
-// (§5.2). The model wraps the shared CSS mod/demod math with the chip's
-// noise figure and a packet-level API.
+// (§5.2). The model wraps the shared CSS modulator as the Fig. 10
+// baseline transmitter (phy::LoraPacketTx with sx1276_tx).
 #pragma once
 
-#include <optional>
-
-#include "channel/noise.hpp"
-#include "lora/demodulator.hpp"
 #include "lora/modulator.hpp"
 
 namespace tinysdr::lora {
 
 class Sx1276Model {
  public:
-  /// SX1276 receiver noise figure calibrated to its datasheet
-  /// sensitivities (see sx1276_sensitivity()).
-  static constexpr double kNoiseFigureDb = 7.0;
-
   explicit Sx1276Model(LoraParams params);
 
   [[nodiscard]] const LoraParams& params() const { return params_; }
@@ -30,11 +22,6 @@ class Sx1276Model {
   /// Generate a packet waveform (critical-rate baseband, unit power).
   [[nodiscard]] dsp::Samples transmit(
       std::span<const std::uint8_t> payload) const;
-
-  /// Packet-level receive through an AWGN front end at the given RSSI.
-  /// Returns the payload if the packet synchronised and passed CRC.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> receive(
-      const dsp::Samples& waveform, Dbm rssi, Rng& rng) const;
 
   /// Datasheet sensitivity for the configured params.
   [[nodiscard]] Dbm sensitivity() const {
@@ -50,7 +37,6 @@ class Sx1276Model {
  private:
   LoraParams params_;
   Modulator modulator_;
-  Demodulator demodulator_;
 };
 
 }  // namespace tinysdr::lora

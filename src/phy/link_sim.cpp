@@ -1,5 +1,6 @@
 #include "phy/link_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <memory>
@@ -31,12 +32,6 @@ void PhyTxInterferer::emit(std::span<const dsp::Complex> /*signal*/,
 LinkSimulator::LinkSimulator(const PhyTx& tx, const PhyRx& rx, TrialPlan plan)
     : tx_(&tx), rx_(&rx), plan_(std::move(plan)) {}
 
-void LinkSimulator::set_interferer(const PhyTx& tx) {
-  owned_.push_back(
-      std::make_unique<PhyTxInterferer>(tx, plan_.payload_bytes));
-  add_interferer(*owned_.back());
-}
-
 void LinkSimulator::add_interferer(const Interferer& source,
                                    std::optional<Dbm> power) {
   interferers_.push_back({&source, power});
@@ -52,6 +47,53 @@ std::uint64_t LinkSimulator::point_seed(std::uint64_t base, double rssi_dbm) {
       base, exec::splitmix64(std::bit_cast<std::uint64_t>(rssi_dbm)));
 }
 
+void LinkSimulator::transmit(const SweepPoint& point, std::uint64_t trial_seed,
+                             TrialBuffers& buf) const {
+  if (plan_.fixed_payload) {
+    buf.payload = *plan_.fixed_payload;
+  } else {
+    Rng payload_rng{trial_seed, kPayloadStream};
+    fill_random(buf.payload, std::min(plan_.payload_bytes, tx_->max_payload()),
+                payload_rng);
+  }
+
+  // modulate() appends, so the only steady-state cost is the writes.
+  buf.wave.clear();
+  buf.wave.insert(buf.wave.end(), plan_.pad_samples, dsp::Complex{0.0f, 0.0f});
+  tx_->modulate(buf.payload, buf.wave);
+  buf.wave.insert(buf.wave.end(), plan_.pad_samples, dsp::Complex{0.0f, 0.0f});
+
+  buf.emissions.resize(interferers_.size());
+  for (std::size_t k = 0; k < interferers_.size(); ++k) {
+    buf.emissions[k].clear();
+    if (!interferers_[k].power_at(point)) continue;
+    Rng rng{trial_seed, k == 0 ? kInterfererStream : kExtraInterfererBase + k};
+    interferers_[k].source->emit(buf.wave, buf.emissions[k], rng);
+  }
+  for (std::size_t k = 0; k < interferers_.size(); ++k)
+    if (!buf.emissions[k].empty())
+      channel::superpose(
+          buf.wave, buf.emissions[k],
+          interferers_[k].power_at(point)->value() - point.rssi.value());
+}
+
+channel::AwgnChannel LinkSimulator::channel(std::uint64_t trial_seed) const {
+  return {plan_.channel_rate.value_or(rx_->sample_rate()),
+          plan_.noise_figure_db, Rng{trial_seed, kChannelStream}};
+}
+
+void LinkSimulator::count_impaired(std::uint64_t tx_samples,
+                                   std::uint64_t rx_samples) const {
+  obs::Registry* registry = obs::metrics();
+  if (registry == nullptr) return;
+  for (const auto& slot : impairments_)
+    registry
+        ->counter("impair." + std::string(impair::stage_name(slot.stage)) +
+                  "." + std::string(slot.impairment->name()) + ".samples")
+        .add(static_cast<double>(
+            slot.stage == impair::Stage::kTx ? tx_samples : rx_samples));
+}
+
 PointResult LinkSimulator::run_point(const SweepPoint& point) const {
   PointResult acc;
   acc.rssi_dbm = point.rssi.value();
@@ -59,23 +101,7 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
   obs::Registry* registry = obs::metrics();
   const std::string prefix = "phy." + std::string(protocol_name(
                                           rx_->protocol()));
-
-  const Hertz rate = plan_.channel_rate.value_or(rx_->sample_rate());
   const std::uint64_t pseed = point_seed(plan_.base_seed, acc.rssi_dbm);
-
-  // Buffers live across the trial loop; modulate() appends, so the only
-  // steady-state cost is the waveform writes themselves.
-  dsp::Samples wave, interferer_wave;
-  std::vector<std::uint8_t> payload;
-
-  bool has_tx_impair = false;
-  bool has_rx_impair = false;
-  for (const auto& slot : impairments_) {
-    if (slot.stage == impair::Stage::kTx) has_tx_impair = true;
-    if (slot.stage == impair::Stage::kRx) has_rx_impair = true;
-  }
-  std::uint64_t tx_impair_samples = 0;
-  std::uint64_t rx_impair_samples = 0;
 
   // Resolved once per point; a zero-trial point creates no histogram.
   obs::Histogram* demod_us =
@@ -84,84 +110,28 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
                                  obs::HistogramSpec::log_scale(0.01, 1e7, 72))
           : nullptr;
 
+  TrialBuffers buf;
+  std::uint64_t samples = 0;
   for (std::size_t t = 0; t < plan_.trials; ++t) {
     const std::uint64_t tseed = exec::stream_seed(pseed, t);
+    transmit(point, tseed, buf);
+    impair::apply_stage(impairments_, impair::Stage::kTx, buf.wave, tseed,
+                        kImpairStreamBase);
+    channel::AwgnChannel noise = channel(tseed);
+    noise.add_noise(buf.wave, noise.snr_db(point.rssi));
+    impair::apply_stage(impairments_, impair::Stage::kRx, buf.wave, tseed,
+                        kImpairStreamBase);
+    samples += buf.wave.size();
 
-    if (plan_.fixed_payload) {
-      payload = *plan_.fixed_payload;
-    } else {
-      Rng payload_rng{tseed, kPayloadStream};
-      fill_random(payload,
-                  std::min(plan_.payload_bytes, tx_->max_payload()),
-                  payload_rng);
-    }
-
-    wave.clear();
-    wave.insert(wave.end(), plan_.pad_samples, dsp::Complex{0.0f, 0.0f});
-    tx_->modulate(payload, wave);
-    wave.insert(wave.end(), plan_.pad_samples, dsp::Complex{0.0f, 0.0f});
-
-    const dsp::Samples* signal = &wave;
-    dsp::Samples combined;
-    for (std::size_t k = 0; k < interferers_.size(); ++k) {
-      const InterfererSlot& slot = interferers_[k];
-      std::optional<Dbm> power =
-          slot.power ? slot.power : point.interferer_rssi;
-      if (!power) continue;
-      Rng interferer_rng{tseed, k == 0 ? kInterfererStream
-                                       : kExtraInterfererBase + k};
-      interferer_wave.clear();
-      slot.source->emit(wave, interferer_wave, interferer_rng);
-      if (interferer_wave.empty()) continue;
-      combined = channel::superpose(*signal, interferer_wave,
-                                    power->value() - point.rssi.value());
-      signal = &combined;
-    }
-
-    // TX-stage impairments distort the combined waveform on a copy, so
-    // the clean `wave` stays available to reactive interferer models and
-    // an empty chain leaves this path untouched.
-    if (has_tx_impair) {
-      if (signal != &combined) {
-        combined.assign(signal->begin(), signal->end());
-        signal = &combined;
-      }
-      impair::apply_stage(impairments_, impair::Stage::kTx, combined, tseed,
-                          kImpairStreamBase);
-      tx_impair_samples += combined.size();
-    }
-
-    // Noise goes onto the transmitted block where it lives: interferers
-    // have already been emitted from the clean `wave`, and add_noise draws
-    // in the same order as apply().
-    dsp::Samples& noisy = signal == &combined ? combined : wave;
-    channel::AwgnChannel channel{rate, plan_.noise_figure_db,
-                                 Rng{tseed, kChannelStream}};
-    channel.add_noise(noisy, channel.snr_db(point.rssi));
-
-    if (has_rx_impair) {
-      impair::apply_stage(impairments_, impair::Stage::kRx, noisy, tseed,
-                          kImpairStreamBase);
-      rx_impair_samples += noisy.size();
-    }
-
-    FrameResult r;
     if (demod_us != nullptr) {
       auto start = std::chrono::steady_clock::now();
-      r = rx_->demodulate(noisy, payload);
+      acc.add(rx_->demodulate(buf.wave, buf.payload));
       auto end = std::chrono::steady_clock::now();
       demod_us->observe(
           std::chrono::duration<double, std::micro>(end - start).count());
     } else {
-      r = rx_->demodulate(noisy, payload);
+      acc.add(rx_->demodulate(buf.wave, buf.payload));
     }
-
-    acc.frames += 1;
-    acc.frame_errors += r.frame_ok ? 0 : 1;
-    acc.bits += r.bits;
-    acc.bit_errors += r.bit_errors;
-    acc.symbols += r.symbols;
-    acc.symbol_errors += r.symbol_errors;
   }
 
   if (registry != nullptr) {
@@ -173,19 +143,8 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
         .add(static_cast<double>(acc.bit_errors));
     registry->counter(prefix + ".symbol_errors")
         .add(static_cast<double>(acc.symbol_errors));
-    // One add per chain slot, in chain order — the streaming engine adds
-    // the same totals in the same order, keeping journaled metrics
-    // byte-identical between the two paths.
-    for (const auto& slot : impairments_) {
-      const std::uint64_t total = slot.stage == impair::Stage::kTx
-                                      ? tx_impair_samples
-                                      : rx_impair_samples;
-      registry
-          ->counter("impair." + std::string(impair::stage_name(slot.stage)) +
-                    "." + std::string(slot.impairment->name()) + ".samples")
-          .add(static_cast<double>(total));
-    }
   }
+  count_impaired(samples, samples);
   return acc;
 }
 

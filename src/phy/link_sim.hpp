@@ -5,7 +5,9 @@
 // sweep RSSI -> PhyRx -> FrameResult — aggregated per sweep point. The
 // figure benches (Fig. 10/11/12/15a/15b), the adversary jammer sweeps and
 // the testbed multi-PHY campaigns all run on it instead of hand-rolling
-// their own loops.
+// their own loops. flow::StreamingLink streams the same trials: it calls
+// transmit() and channel() and records through the same helpers, so the
+// two engines share one transmit side and one set of RNG streams.
 //
 // Determinism contract (PR 3's rules): one base seed roots a sweep; a
 // point's seed is a pure function of (base, rssi value) — independent of
@@ -16,7 +18,6 @@
 // telemetry are byte-identical for any --threads value.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -116,7 +117,25 @@ struct PointResult {
                               static_cast<double>(symbols);
   }
 
+  /// Accumulate one trial's outcome.
+  void add(const FrameResult& r) {
+    frames += 1;
+    frame_errors += r.frame_ok ? 0 : 1;
+    bits += r.bits;
+    bit_errors += r.bit_errors;
+    symbols += r.symbols;
+    symbol_errors += r.symbol_errors;
+  }
+
   [[nodiscard]] bool operator==(const PointResult&) const = default;
+};
+
+/// Caller-owned buffers of one trial's transmit side, reused across
+/// trials so the steady state allocates nothing.
+struct TrialBuffers {
+  std::vector<std::uint8_t> payload;
+  dsp::Samples wave;  ///< padded waveform, interferers mixed in
+  std::vector<dsp::Samples> emissions;  ///< one per interferer slot
 };
 
 class LinkSimulator {
@@ -125,17 +144,11 @@ class LinkSimulator {
   /// the simulator and be safe for concurrent const use (all adapters are).
   LinkSimulator(const PhyTx& tx, const PhyRx& rx, TrialPlan plan);
 
-  /// Attach a second, concurrently transmitting PHY whose waveform is
-  /// superposed onto the signal at each point's interferer RSSI. Kept as
-  /// a wrapper over add_interferer() — the first slot draws from the same
-  /// RNG stream the single-interferer engine always used, so existing
-  /// sweeps stay byte-identical.
-  void set_interferer(const PhyTx& tx);
-
-  /// Attach any interferer/attacker model. `power` fixes its received
-  /// power; nullopt means the sweep point's interferer_rssi drives it
-  /// (and the slot stays silent at points without one). Slots superpose
-  /// in attachment order; each gets its own RNG stream per trial.
+  /// Attach any interferer/attacker model (a concurrent PHY is a
+  /// PhyTxInterferer). `power` fixes its received power; nullopt means
+  /// the sweep point's interferer_rssi drives it (and the slot stays
+  /// silent at points without one). Slots superpose in attachment order;
+  /// each gets its own RNG stream per trial.
   void add_interferer(const Interferer& source,
                       std::optional<Dbm> power = std::nullopt);
 
@@ -158,14 +171,14 @@ class LinkSimulator {
   }
 
   [[nodiscard]] const TrialPlan& plan() const { return plan_; }
+  [[nodiscard]] const PhyTx& tx() const { return *tx_; }
+  [[nodiscard]] const PhyRx& rx() const { return *rx_; }
 
   /// PCG stream selectors for the independent randomness a trial consumes.
   /// Distinct streams of one trial seed, so adding a consumer never
-  /// perturbs the others. Public so alternative trial engines (the flow
-  /// layer's continuous-streaming mode) can replay the exact same
-  /// randomness and stay byte-identical with run_point(). The first
-  /// interferer slot keeps the historical kInterfererStream; further slots
-  /// get kExtraInterfererBase + k, clear of any selector already in use.
+  /// perturbs the others. The first interferer slot keeps the historical
+  /// kInterfererStream; further slots get kExtraInterfererBase + k, clear
+  /// of any selector already in use.
   static constexpr std::uint64_t kPayloadStream = 1;
   static constexpr std::uint64_t kInterfererStream = 2;
   static constexpr std::uint64_t kChannelStream = 3;
@@ -178,6 +191,24 @@ class LinkSimulator {
   /// or whether — the point sits in any particular sweep grid.
   [[nodiscard]] static std::uint64_t point_seed(std::uint64_t base,
                                                 double rssi_dbm);
+
+  /// A trial's transmit side: payload -> padded waveform -> interferer
+  /// mix, into `buf.wave`. Every active slot emits from the clean padded
+  /// waveform into `buf.emissions[k]` before any emission is mixed in, so
+  /// reactive models key off the victim alone; the emissions are then
+  /// added in slot order.
+  void transmit(const SweepPoint& point, std::uint64_t trial_seed,
+                TrialBuffers& buf) const;
+
+  /// The trial's AWGN channel: the plan's noise bandwidth and figure,
+  /// drawing from (trial seed, kChannelStream).
+  [[nodiscard]] channel::AwgnChannel channel(std::uint64_t trial_seed) const;
+
+  /// Add impair.<stage>.<block>.samples once per chain slot, in chain
+  /// order, to the thread's metrics registry (if any): `tx_samples` and
+  /// `rx_samples` are the samples each stage processed over a point.
+  void count_impaired(std::uint64_t tx_samples,
+                      std::uint64_t rx_samples) const;
 
   /// Run the full trial loop at one point.
   [[nodiscard]] PointResult run_point(const SweepPoint& point) const;
@@ -209,6 +240,10 @@ class LinkSimulator {
   struct InterfererSlot {
     const Interferer* source;
     std::optional<Dbm> power;  ///< nullopt: the point's interferer_rssi
+
+    [[nodiscard]] std::optional<Dbm> power_at(const SweepPoint& p) const {
+      return power ? power : p.interferer_rssi;
+    }
   };
 
   const PhyTx* tx_;
@@ -216,8 +251,6 @@ class LinkSimulator {
   TrialPlan plan_;
   std::vector<InterfererSlot> interferers_;
   impair::Chain impairments_;
-  /// Adapters created by set_interferer(); stable addresses for the slots.
-  std::vector<std::unique_ptr<Interferer>> owned_;
 };
 
 }  // namespace tinysdr::phy

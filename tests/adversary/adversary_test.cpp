@@ -240,24 +240,6 @@ TEST(JammerLink, FixedPowerSlotIsSilentWithoutPowerOrPoint) {
             armed.run_point({Dbm{-112.0}, std::nullopt}));
 }
 
-TEST(JammerLink, SetInterfererWrapperMatchesExplicitFirstSlot) {
-  // set_interferer(tx) must be exactly add_interferer(PhyTxInterferer)
-  // in slot 0 — the byte-compat contract for the legacy Fig. 15 path.
-  auto cfg = test_lora_config();
-  phy::LoraSymbolTx tx{cfg}, itx{cfg};
-  phy::LoraSymbolRx rx{cfg};
-
-  phy::LinkSimulator legacy{tx, rx, small_plan(55)};
-  legacy.set_interferer(itx);
-
-  phy::LinkSimulator explicit_slot{tx, rx, small_plan(55)};
-  phy::PhyTxInterferer adapter{itx, explicit_slot.plan().payload_bytes};
-  explicit_slot.add_interferer(adapter);
-
-  const phy::SweepPoint point{Dbm{-112.0}, Dbm{-112.0}};
-  EXPECT_EQ(legacy.run_point(point), explicit_slot.run_point(point));
-}
-
 /// An interferer that never keys up (empty emission).
 struct SilentInterferer final : phy::Interferer {
   void emit(std::span<const dsp::Complex>, dsp::Samples&, Rng&) const
@@ -272,11 +254,13 @@ TEST(JammerLink, AddingSecondInterfererKeepsFirstSlotStream) {
   phy::LoraSymbolRx rx{cfg};
   SilentInterferer silent;
 
+  const phy::PhyTxInterferer concurrent{itx, small_plan(56).payload_bytes};
+
   phy::LinkSimulator one{tx, rx, small_plan(56)};
-  one.set_interferer(itx);
+  one.add_interferer(concurrent);
 
   phy::LinkSimulator two{tx, rx, small_plan(56)};
-  two.set_interferer(itx);
+  two.add_interferer(concurrent);
   two.add_interferer(silent);  // empty emission: must change nothing
 
   const phy::SweepPoint point{Dbm{-112.0}, Dbm{-112.0}};

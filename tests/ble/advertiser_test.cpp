@@ -101,17 +101,5 @@ TEST(Cc2650, FailsFarBelowSensitivity) {
   EXPECT_FALSE(result.has_value());
 }
 
-TEST(Cc2650, BerMeasurementMonotone) {
-  Advertiser adv{beacon()};
-  Cc2650Model rx;
-  auto wave = adv.waveform(37);
-  auto bits = assemble_air_bits(beacon(), 37);
-  Rng rng1{6}, rng2{6};
-  double strong = rx.measure_ber(wave, bits, Dbm{-60.0}, rng1);
-  double weak = rx.measure_ber(wave, bits, Dbm{-102.0}, rng2);
-  EXPECT_LE(strong, weak);
-  EXPECT_GT(weak, 0.0);
-}
-
 }  // namespace
 }  // namespace tinysdr::ble

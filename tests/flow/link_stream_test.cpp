@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+
+#include "adversary/jammer.hpp"
+#include "impair/impair.hpp"
 #include "phy/lora_phy.hpp"
 #include "phy/registry.hpp"
 
@@ -126,6 +132,67 @@ TEST(FlowThreadedLinkStream, Fig15aConcurrentLoraMatchesRunPoint) {
   for (std::size_t gap : {std::size_t{0}, std::size_t{173}}) {
     StreamingLink stream{tx, rx, StreamPlan{plan, gap, 1 << 10}};
     stream.add_interferer(jammer);
+    for (bool threaded : {false, true}) {
+      auto got = stream.run(point, threaded);
+      EXPECT_TRUE(got.report.drained()) << gap << " " << threaded;
+      EXPECT_EQ(got.point, expected) << gap << " " << threaded;
+    }
+  }
+}
+
+/// FNV-1a over the result's fields, in declaration order.
+std::uint64_t fnv1a(const phy::PointResult& r) {
+  const std::uint64_t fields[] = {
+      std::bit_cast<std::uint64_t>(r.rssi_dbm), r.frames, r.frame_errors,
+      r.bits, r.bit_errors, r.symbols, r.symbol_errors};
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  unsigned char bytes[sizeof fields];
+  std::memcpy(bytes, fields, sizeof fields);
+  for (unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(FlowThreadedLinkStream, TwoSlotsWithReactiveJammerMatchPin) {
+  // Two interferer slots: a concurrent BLE transmitter at the point's
+  // interferer RSSI, and a reactive jammer at a fixed power that keys off
+  // the clean victim signal. A TX PA clip distorts the mixed waveform.
+  // The leading pad is longer than the jammer's detection window, so a
+  // jammer that heard the BLE emission would key up early and change the
+  // result. The pin was recorded from run_point before either engine
+  // changed.
+  const auto& zigbee = phy::Registry::builtin().at(phy::Protocol::kZigbee);
+  const auto& ble = phy::Registry::builtin().at(phy::Protocol::kBle);
+  auto tx = zigbee.make_tx();
+  auto rx = zigbee.make_rx();
+  auto ble_tx = ble.make_tx();
+  auto plan = small_plan();
+  plan.pad_samples = 128;
+  plan.noise_figure_db = zigbee.system_noise_figure_db;
+
+  const phy::PhyTxInterferer concurrent{*ble_tx, plan.payload_bytes};
+  const adversary::ReactiveJammer jammer{};
+  const impair::PaClip clip{0.9, 2.0};
+  const phy::SweepPoint point{Dbm{-94.0}, Dbm{-99.0}};
+  const Dbm jam_power{-97.0};
+
+  phy::LinkSimulator classic{*tx, *rx, plan};
+  classic.add_interferer(concurrent);
+  classic.add_interferer(jammer, jam_power);
+  classic.add_impairment(clip, impair::Stage::kTx);
+  const auto expected = classic.run_point(point);
+  EXPECT_EQ(expected.frames, 5u);
+  EXPECT_EQ(expected.frame_errors, 4u);
+  EXPECT_EQ(expected.bits, 320u);
+  EXPECT_EQ(fnv1a(expected), 0x8d076bb1d5b19bdbull);
+
+  for (std::size_t gap : {std::size_t{0}, std::size_t{97}}) {
+    StreamingLink stream{*tx, *rx, StreamPlan{plan, gap, 1 << 9}};
+    stream.add_interferer(concurrent);
+    stream.add_interferer(jammer, jam_power);
+    stream.add_impairment(clip, impair::Stage::kTx);
     for (bool threaded : {false, true}) {
       auto got = stream.run(point, threaded);
       EXPECT_TRUE(got.report.drained()) << gap << " " << threaded;

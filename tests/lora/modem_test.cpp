@@ -195,25 +195,9 @@ TEST(Demodulator, AlignedSymbolDemodExact) {
   EXPECT_EQ(rx, symbols);
 }
 
-TEST(Sx1276, BaselineRoundTrip) {
-  Sx1276Model chip{sf8_125()};
-  Rng rng{123};
-  auto wave = chip.transmit(payload_bytes());
-  auto rx = chip.receive(wave, Dbm{-110.0}, rng);
-  ASSERT_TRUE(rx.has_value());
-  EXPECT_EQ(*rx, payload_bytes());
-}
-
 TEST(Sx1276, SensitivityTableLookup) {
   Sx1276Model chip{sf8_125()};
   EXPECT_NEAR(chip.sensitivity().value(), -126.0, 0.3);
-}
-
-TEST(Sx1276, FailsWellBelowSensitivity) {
-  Sx1276Model chip{sf8_125()};
-  Rng rng{321};
-  auto wave = chip.transmit(payload_bytes());
-  EXPECT_FALSE(chip.receive(wave, Dbm{-138.0}, rng).has_value());
 }
 
 }  // namespace

@@ -154,7 +154,8 @@ TEST(LinkSimulator, InterfererDegradesTheWeakLink) {
   TrialPlan plan = symbol_plan(13);
   plan.trials = 4;
   LinkSimulator sim{tx125, rx125, plan};
-  sim.set_interferer(tx250);
+  const PhyTxInterferer interferer{tx250, plan.payload_bytes};
+  sim.add_interferer(interferer);
 
   // Same signal point with a negligible vs a dominant interferer: the
   // shared point seed means identical symbols and noise, so any SER gap

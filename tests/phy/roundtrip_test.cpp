@@ -129,7 +129,8 @@ TEST(BenchCurvePins, Fig15aConcurrentBw125) {
   plan.noise_figure_db = kLoraSystemNf;
   plan.base_seed = 55;  // the bench's concurrent-BW125 sweep seed
   LinkSimulator sim{tx125, rx125, plan};
-  sim.set_interferer(tx250);
+  const PhyTxInterferer interferer{tx250, plan.payload_bytes};
+  sim.add_interferer(interferer);
   auto r = sim.run_point({Dbm{-124.0}, Dbm{-124.0}});
   EXPECT_EQ(r.symbols, 250u);
   EXPECT_EQ(r.symbol_errors, 129u);
@@ -149,7 +150,8 @@ TEST(BenchCurvePins, Fig15bInterferenceSweepPoint) {
   plan.noise_figure_db = kLoraSystemNf;
   plan.base_seed = 77;  // the bench's sweep seed
   LinkSimulator sim{tx125, rx125, plan};
-  sim.set_interferer(tx250);
+  const PhyTxInterferer interferer{tx250, plan.payload_bytes};
+  sim.add_interferer(interferer);
   auto r = sim.run_point({Dbm{-123.0}, Dbm{-110.0}});
   EXPECT_EQ(r.symbol_errors, 106u);
 }
