@@ -58,35 +58,6 @@ void ReactiveJammer::emit(std::span<const dsp::Complex> signal,
   record_jam(stop - start);
 }
 
-void SyncJammer::emit(std::span<const dsp::Complex> signal,
-                      dsp::Samples& out, Rng& rng) const {
-  // Onset = first sample with energy above threshold (frames arrive with
-  // a silent leading pad, so this lands on the first preamble sample).
-  std::size_t onset = signal.size();
-  for (std::size_t n = 0; n < signal.size(); ++n) {
-    if (std::norm(signal[n]) >= config_.detect_threshold) {
-      onset = n;
-      break;
-    }
-  }
-  if (onset >= signal.size()) return;  // no frame: stay silent
-
-  const std::size_t start =
-      std::min(onset + config_.reaction_latency, signal.size());
-  const std::size_t stop =
-      std::min(onset + config_.preamble_samples, signal.size());
-  if (start >= stop) return;
-
-  out.assign(start, dsp::Complex{0.0f, 0.0f});
-  for (std::size_t n = start; n < stop; ++n) out.push_back(noise_sample(rng));
-  // Quiet again for the rest of the frame: out stays short of
-  // signal.size(), and the simulator treats missing tail samples as
-  // silence — the payload region is untouched.
-
-  if (auto* m = obs::metrics()) m->counter("adversary.sync_triggers").add();
-  record_jam(stop - start);
-}
-
 void SweepJammer::emit(std::span<const dsp::Complex> signal,
                        dsp::Samples& out, Rng& rng) const {
   if (signal.empty()) return;

@@ -56,38 +56,6 @@ class ReactiveJammer final : public phy::Interferer {
   ReactiveJammerConfig config_;
 };
 
-/// Sync-preamble-targeting jammer: finds the victim's signal onset by
-/// per-sample energy and keys up ONLY over the sync/preamble region at
-/// the head of the frame, then goes quiet again. Far cheaper in jam
-/// energy than a whole-burst jammer, yet just as deadly against
-/// receivers that need a clean preamble to synchronize — the classic
-/// low-duty attack on LoRa/BLE sync words.
-struct SyncJammerConfig {
-  /// Per-sample |x|^2 that counts as "frame started". Victim waveforms
-  /// are unit power where active, so 0.05 triggers on the first active
-  /// sample (leading pad is pure silence).
-  double detect_threshold = 0.05;
-  /// Length of the sync/preamble window to jam, in samples, measured
-  /// from the detected onset.
-  std::size_t preamble_samples = 256;
-  /// Samples between onset and RF-on (detector turnaround). Part of the
-  /// preamble window — the jam still ends preamble_samples after onset.
-  std::size_t reaction_latency = 0;
-};
-
-class SyncJammer final : public phy::Interferer {
- public:
-  explicit SyncJammer(SyncJammerConfig config = {}) : config_(config) {}
-
-  [[nodiscard]] const SyncJammerConfig& config() const { return config_; }
-
-  void emit(std::span<const dsp::Complex> signal, dsp::Samples& out,
-            Rng& rng) const override;
-
- private:
-  SyncJammerConfig config_;
-};
-
 /// Swept-tone jammer: a unit-amplitude chirp cycling linearly from f_lo
 /// to f_hi (normalized cycles/sample) once per `period_samples`, with a
 /// random per-trial phase in the sweep so victims at different offsets

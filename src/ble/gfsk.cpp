@@ -128,13 +128,4 @@ double aligned_ber(const std::vector<bool>& reference,
   return best;
 }
 
-std::size_t count_bit_errors(const std::vector<bool>& tx,
-                             const std::vector<bool>& rx) {
-  std::size_t n = std::min(tx.size(), rx.size());
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (tx[i] != rx[i]) ++errors;
-  return errors;
-}
-
 }  // namespace tinysdr::ble

@@ -65,11 +65,6 @@ class GfskDemodulator {
   GfskConfig config_;
 };
 
-/// Count bit errors between transmitted and received sequences (compared up
-/// to the shorter length).
-[[nodiscard]] std::size_t count_bit_errors(const std::vector<bool>& tx,
-                                           const std::vector<bool>& rx);
-
 /// BER against a known reference, the way a BER tester measures it: search
 /// a small alignment window (the demodulated stream can lead/lag by a few
 /// bits from discriminator start-up and timing recovery), count errors over

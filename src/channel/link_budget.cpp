@@ -25,11 +25,4 @@ Dbm PathLossModel::received_power(Dbm tx_power, double meters) const {
   return tx_power - loss_db(meters);
 }
 
-double PathLossModel::range_meters(Dbm tx_power, Dbm rx_power) const {
-  double budget_db = tx_power - rx_power;
-  double excess = budget_db - reference_loss_db();
-  if (excess <= 0.0) return 1.0;
-  return std::pow(10.0, excess / (10.0 * exponent_));
-}
-
 }  // namespace tinysdr::channel

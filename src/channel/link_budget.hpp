@@ -27,9 +27,6 @@ class PathLossModel {
   /// Received power for a given transmit power and distance.
   [[nodiscard]] Dbm received_power(Dbm tx_power, double meters) const;
 
-  /// Distance (m) at which received power drops to `rx_power`.
-  [[nodiscard]] double range_meters(Dbm tx_power, Dbm rx_power) const;
-
   [[nodiscard]] Hertz carrier() const { return carrier_; }
   [[nodiscard]] double exponent() const { return exponent_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numbers>
 
 namespace tinysdr::channel {
 
@@ -51,19 +50,6 @@ void superpose(std::span<dsp::Complex> a, std::span<const dsp::Complex> b,
   auto scale = static_cast<float>(std::pow(10.0, relative_db / 20.0));
   const std::size_t n = std::min(b.size(), a.size() - offset);
   for (std::size_t i = 0; i < n; ++i) a[offset + i] += b[i] * scale;
-}
-
-dsp::Samples apply_cfo(const dsp::Samples& in, double cycles_per_sample) {
-  dsp::Samples out;
-  out.reserve(in.size());
-  double phase = 0.0;
-  for (const auto& s : in) {
-    out.push_back(s * dsp::Complex{static_cast<float>(std::cos(phase)),
-                                   static_cast<float>(std::sin(phase))});
-    phase += 2.0 * std::numbers::pi * cycles_per_sample;
-    if (phase > std::numbers::pi * 2.0) phase -= std::numbers::pi * 4.0;
-  }
-  return out;
 }
 
 }  // namespace tinysdr::channel

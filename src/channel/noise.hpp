@@ -86,8 +86,4 @@ void add_awgn(std::span<dsp::Complex> signal, double snr_db, Rng& rng);
 void superpose(std::span<dsp::Complex> a, std::span<const dsp::Complex> b,
                double relative_db, std::size_t offset = 0);
 
-/// Apply a carrier frequency offset of `cycles_per_sample` to a block.
-[[nodiscard]] dsp::Samples apply_cfo(const dsp::Samples& in,
-                                     double cycles_per_sample);
-
 }  // namespace tinysdr::channel

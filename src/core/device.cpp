@@ -49,19 +49,6 @@ void TinySdrDevice::sleep(Seconds planned_sleep) {
     ledger_.record(power::Activity::kSleep, planned_sleep, Dbm{0.0}, "sleep");
 }
 
-Milliwatts TinySdrDevice::current_draw() const {
-  if (state_ == DeviceState::kSleep) return power_model_.sleep_power();
-  switch (radio_.state()) {
-    case radio::RadioState::kTx:
-      return power_model_.draw(power::Activity::kLoraTransmit,
-                               radio_.tx_power());
-    case radio::RadioState::kRx:
-      return power_model_.draw(power::Activity::kLoraReceive);
-    default:
-      return power_model_.draw(power::Activity::kDecompress);
-  }
-}
-
 void TinySdrDevice::store_design(const fpga::FirmwareImage& image) {
   store_.store(image.name, image.data);
 }
@@ -118,42 +105,6 @@ std::vector<dsp::Samples> TinySdrDevice::transmit_ble_burst(
                    "ble beacon ch" + std::to_string(chan.index));
   }
   return waves;
-}
-
-dsp::Samples TinySdrDevice::transmit_zigbee(
-    std::span<const std::uint8_t> psdu, Dbm tx_power) {
-  require_active("transmit_zigbee");
-  radio_.set_tx_power(tx_power);
-  radio_.retune(Hertz::from_megahertz(2440.0));
-  radio_.enter_tx();
-  frontend_2400_.set_mode(radio::FrontendMode::kBypass);
-
-  zigbee::OqpskModem modem;
-  auto baseband = modem.modulate(psdu);
-  auto antenna = radio_.transmit(baseband);
-  ledger_.record(power::Activity::kBleTransmit, modem.airtime(psdu.size()),
-                 tx_power, "zigbee tx");
-  return antenna;
-}
-
-dsp::Samples TinySdrDevice::transmit_fsk_builtin(
-    std::span<const std::uint8_t> payload, Dbm tx_power) {
-  require_active("transmit_fsk_builtin");
-  radio_.set_tx_power(tx_power);
-  radio_.enter_tx();
-  auto& fe = radio_.band() == radio::Band::kIsm2400 ? frontend_2400_
-                                                    : frontend_900_;
-  fe.set_mode(radio::FrontendMode::kBypass);
-
-  radio::BuiltinFskModem modem;
-  auto antenna = radio_.transmit(modem.modulate(payload));
-  // FPGA stays power-gated: radio + MCU + regulator overhead only.
-  Milliwatts draw = power_model_.radio_tx_draw(radio_.band(), tx_power) +
-                    power_model_.mcu().active + Milliwatts{10.0};
-  ledger_.record_draw(power::Activity::kLoraTransmit,
-                      modem.airtime(payload.size()), draw,
-                      "builtin fsk tx (fpga off)");
-  return antenna;
 }
 
 std::optional<lora::DemodResult> TinySdrDevice::receive_lora(

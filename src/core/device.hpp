@@ -12,8 +12,6 @@
 #include <string>
 
 #include "ble/advertiser.hpp"
-#include "radio/builtin_modem.hpp"
-#include "zigbee/oqpsk.hpp"
 #include "fpga/bitstream.hpp"
 #include "fpga/programming.hpp"
 #include "lora/demodulator.hpp"
@@ -49,9 +47,6 @@ class TinySdrDevice {
   /// wakes (pass expected sleep duration for the ledger now).
   void sleep(Seconds planned_sleep = Seconds{0.0});
 
-  /// Battery-side draw in the current state/activity.
-  [[nodiscard]] Milliwatts current_draw() const;
-
   // -------------------------------------------------------------- designs
 
   /// Store a bitstream in flash (e.g. delivered by OTA).
@@ -77,17 +72,6 @@ class TinySdrDevice {
   /// returns the per-channel waveforms. Accounts airtime + hop energy.
   [[nodiscard]] std::vector<dsp::Samples> transmit_ble_burst(
       const ble::AdvPacket& packet, Dbm tx_power);
-
-  /// Transmit an 802.15.4 (Zigbee) frame at 2.4 GHz through the FPGA
-  /// O-QPSK design.
-  [[nodiscard]] dsp::Samples transmit_zigbee(
-      std::span<const std::uint8_t> psdu, Dbm tx_power);
-
-  /// Transmit via the radio chip's built-in MR-FSK modem with the FPGA
-  /// power-gated (§3.1.1's power-saving path) — the ledger records the
-  /// cheaper operating point.
-  [[nodiscard]] dsp::Samples transmit_fsk_builtin(
-      std::span<const std::uint8_t> payload, Dbm tx_power);
 
   // ------------------------------------------------------------------- RX
 

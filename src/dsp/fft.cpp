@@ -23,33 +23,30 @@ FftPlan::FftPlan(std::size_t size) : size_(size) {
   }
 
   twiddles_.resize(size / 2);
-  inv_twiddles_.resize(size / 2);
   for (std::size_t k = 0; k < size / 2; ++k) {
     double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
                    static_cast<double>(size);
     twiddles_[k] = Complex{static_cast<float>(std::cos(angle)),
                            static_cast<float>(std::sin(angle))};
-    inv_twiddles_[k] = std::conj(twiddles_[k]);
   }
 }
 
-void FftPlan::transform(std::span<Complex> data, bool invert) const {
+void FftPlan::forward(std::span<Complex> data) const {
   obs::ProfileScope prof{"fft"};
   if (data.size() != size_)
-    throw std::invalid_argument("FftPlan::transform: size mismatch");
+    throw std::invalid_argument("FftPlan::forward: size mismatch");
 
   for (std::size_t i = 0; i < size_; ++i) {
     std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
 
-  const auto& tw = invert ? inv_twiddles_ : twiddles_;
   for (std::size_t len = 2; len <= size_; len <<= 1) {
     std::size_t half = len >> 1;
     std::size_t step = size_ / len;
     for (std::size_t start = 0; start < size_; start += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        Complex w = tw[k * step];
+        Complex w = twiddles_[k * step];
         Complex u = data[start + k];
         Complex v = data[start + k + half] * w;
         data[start + k] = u + v;
@@ -57,21 +54,6 @@ void FftPlan::transform(std::span<Complex> data, bool invert) const {
       }
     }
   }
-
-  if (invert) {
-    auto scale = static_cast<float>(1.0 / static_cast<double>(size_));
-    for (auto& x : data) x *= scale;
-  }
-}
-
-void FftPlan::forward(std::span<Complex> data) const { transform(data, false); }
-
-void FftPlan::inverse(std::span<Complex> data) const { transform(data, true); }
-
-Samples FftPlan::forward_copy(std::span<const Complex> data) const {
-  Samples out(data.begin(), data.end());
-  forward(out);
-  return out;
 }
 
 std::size_t peak_bin(std::span<const Complex> spectrum) {
@@ -84,13 +66,6 @@ std::size_t peak_bin(std::span<const Complex> spectrum) {
       best = i;
     }
   }
-  return best;
-}
-
-double peak_magnitude(std::span<const Complex> spectrum) {
-  double best = 0.0;
-  for (const auto& s : spectrum)
-    best = std::max(best, static_cast<double>(std::abs(s)));
   return best;
 }
 

@@ -23,19 +23,10 @@ class FftPlan {
   /// In-place forward DFT (no scaling).
   void forward(std::span<Complex> data) const;
 
-  /// In-place inverse DFT (scaled by 1/N).
-  void inverse(std::span<Complex> data) const;
-
-  /// Out-of-place convenience.
-  [[nodiscard]] Samples forward_copy(std::span<const Complex> data) const;
-
  private:
-  void transform(std::span<Complex> data, bool invert) const;
-
   std::size_t size_;
   std::vector<std::size_t> bitrev_;
-  std::vector<Complex> twiddles_;      // forward
-  std::vector<Complex> inv_twiddles_;  // inverse
+  std::vector<Complex> twiddles_;
 };
 
 [[nodiscard]] constexpr bool is_power_of_two(std::size_t n) {
@@ -44,8 +35,5 @@ class FftPlan {
 
 /// Index of the FFT bin with the largest magnitude.
 [[nodiscard]] std::size_t peak_bin(std::span<const Complex> spectrum);
-
-/// Magnitude of the largest bin.
-[[nodiscard]] double peak_magnitude(std::span<const Complex> spectrum);
 
 }  // namespace tinysdr::dsp

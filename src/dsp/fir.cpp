@@ -178,9 +178,4 @@ std::size_t FirFilter::decimate(std::span<const Complex> in,
   return count;
 }
 
-void FirFilter::reset() {
-  std::fill(delay_.begin(), delay_.end(), Complex{0.0f, 0.0f});
-  head_ = 0;
-}
-
 }  // namespace tinysdr::dsp

@@ -56,9 +56,6 @@ class FirFilter {
                                      std::size_t first, std::size_t step,
                                      std::span<Complex> out) const;
 
-  /// Reset internal delay line to zeros.
-  void reset();
-
  private:
   std::vector<float> taps_;
   std::vector<Complex> delay_;

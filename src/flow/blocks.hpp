@@ -12,7 +12,6 @@
 #include "dsp/nco.hpp"
 #include "flow/graph.hpp"
 #include "obs/metrics.hpp"
-#include "phy/phy.hpp"
 #include "radio/quantizer.hpp"
 
 namespace tinysdr::flow {
@@ -217,77 +216,6 @@ class TimedTxGate : public Block {
  private:
   std::uint64_t fire_at_;
   std::optional<std::uint64_t> total_;
-};
-
-/// Source transmitting one frame through a unified-PHY transmitter: the
-/// payload is modulated up front and the waveform streamed out, so any
-/// PhyTx drops into a flowgraph as its head end.
-class PhyTxSource : public Block {
- public:
-  PhyTxSource(const phy::PhyTx& tx, std::span<const std::uint8_t> payload,
-              std::size_t pad_samples = 0)
-      : Block("phy_tx:" + std::string(phy::protocol_name(tx.protocol()))) {
-    data_.assign(pad_samples, dsp::Complex{0.0f, 0.0f});
-    tx.modulate(payload, data_);
-    data_.insert(data_.end(), pad_samples, dsp::Complex{0.0f, 0.0f});
-  }
-
-  WorkResult work(const ReadView&, WriteView& out) override {
-    std::size_t n = std::min(out.size(), data_.size() - pos_);
-    out.write(0, std::span<const dsp::Complex>{data_.data() + pos_, n});
-    pos_ += n;
-    return {0, n};
-  }
-  [[nodiscard]] bool finished() const override { return pos_ >= data_.size(); }
-
- private:
-  dsp::Samples data_;
-  std::size_t pos_ = 0;
-};
-
-/// Terminal sink feeding a unified-PHY receiver: samples accumulate until
-/// the graph drains, then `result()` demodulates the whole capture and
-/// scores it against the reference payload. `capture_cap` bounds the
-/// stored capture for long streaming runs; samples past the cap are still
-/// consumed (so the stream keeps flowing) but dropped and counted.
-class PhyRxSink : public Block {
- public:
-  static constexpr std::size_t kUncapped =
-      std::numeric_limits<std::size_t>::max();
-
-  PhyRxSink(const phy::PhyRx& rx, std::vector<std::uint8_t> reference,
-            std::size_t capture_cap = kUncapped)
-      : Block("phy_rx:" + std::string(phy::protocol_name(rx.protocol()))),
-        rx_(&rx),
-        reference_(std::move(reference)),
-        cap_(capture_cap) {}
-
-  WorkResult work(const ReadView& in, WriteView&) override {
-    std::size_t keep = std::min(in.size(), cap_ - data_.size());
-    std::size_t old = data_.size();
-    data_.resize(old + keep);
-    in.copy_to(std::span<dsp::Complex>{data_.data() + old, keep});
-    std::size_t dropped = in.size() - keep;
-    if (dropped > 0) {
-      dropped_ += dropped;
-      if (auto* m = obs::metrics())
-        m->counter("flow.sink_overflow").add(static_cast<double>(dropped));
-    }
-    return {in.size(), 0};
-  }
-
-  [[nodiscard]] const dsp::Samples& data() const { return data_; }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] phy::FrameResult result() const {
-    return rx_->demodulate(data_, reference_);
-  }
-
- private:
-  const phy::PhyRx* rx_;
-  std::vector<std::uint8_t> reference_;
-  dsp::Samples data_;
-  std::size_t cap_;
-  std::uint64_t dropped_ = 0;
 };
 
 /// Terminal sink collecting everything (up to an optional cap; overflow

@@ -21,11 +21,6 @@ const FrameEntry* FrameSchedule::at(std::size_t cursor) const {
   return cursor < entries_.size() ? &entries_[cursor] : nullptr;
 }
 
-std::size_t FrameSchedule::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 FrameStreamSource::FrameStreamSource(const phy::LinkSimulator& sim,
                                      const StreamPlan& plan,
                                      const phy::SweepPoint& point,

@@ -68,7 +68,6 @@ class FrameSchedule {
   /// Entry at `cursor`, or nullptr if not published yet. The pointer stays
   /// valid for the schedule's lifetime (entries are never removed).
   [[nodiscard]] const FrameEntry* at(std::size_t cursor) const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
   mutable std::mutex mu_;

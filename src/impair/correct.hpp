@@ -1,12 +1,9 @@
 // Calibration / correction blocks matching the impairment pipeline — the
 // software twins of litex_m2sdr's dc_filter and iq_correction gateware.
 //
-// Two flavours:
-//   - capture-based estimators (remove_dc, estimate/correct_iq_imbalance):
-//     blind statistics over a whole demod capture, used by
-//     phy::CalibratedRx on the batch RX path;
-//   - the streaming DcNotch single-pole IIR, a flow::Block-shaped state
-//     machine for continuous operation.
+// Capture-based estimators (remove_dc, estimate/correct_iq_imbalance):
+// blind statistics over a whole demod capture, used by phy::CalibratedRx
+// on the batch RX path.
 //
 // CFO estimation/correction lives in dsp/cfo.hpp (it is a generic DSP
 // primitive the demodulators may also want); phy::CalibratedRx wires all
@@ -19,8 +16,8 @@
 
 namespace tinysdr::impair {
 
-/// Subtract the capture's mean from every sample (block DC estimator —
-/// the batch equivalent of the notch). Returns the removed offset.
+/// Subtract the capture's mean from every sample (block DC estimator).
+/// Returns the removed offset.
 dsp::Complex remove_dc(std::span<dsp::Complex> x);
 
 /// Blind IQ-imbalance estimate in the Moseley–Slump circularity form:
@@ -47,28 +44,5 @@ void correct_iq_imbalance(std::span<dsp::Complex> x, const IqEstimate& est);
 
 /// Convenience: estimate then correct; returns the estimate used.
 IqEstimate correct_iq_imbalance(std::span<dsp::Complex> x);
-
-/// Streaming DC notch: the classic single-pole IIR high-pass
-/// (litex_m2sdr dc_filter):  dc += alpha*(x - dc);  y = x - dc.
-/// State carries across process() calls, so chunked and whole-stream
-/// operation are byte-identical.
-class DcNotch {
- public:
-  explicit DcNotch(float alpha = 1.0f / 1024.0f) : alpha_(alpha) {}
-
-  void process(std::span<dsp::Complex> x) {
-    for (auto& s : x) {
-      dc_ += alpha_ * (s - dc_);
-      s -= dc_;
-    }
-  }
-
-  [[nodiscard]] dsp::Complex dc() const { return dc_; }
-  [[nodiscard]] float alpha() const { return alpha_; }
-
- private:
-  float alpha_;
-  dsp::Complex dc_{0.0f, 0.0f};
-};
 
 }  // namespace tinysdr::impair

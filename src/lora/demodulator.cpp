@@ -105,19 +105,6 @@ std::uint32_t Demodulator::demodulate_symbol(
       dechirp_peak(window, base_up_, scratch).first);
 }
 
-ChirpDirection Demodulator::detect_direction(
-    std::span<const dsp::Complex> window) const {
-  dsp::Samples scratch(params_.chips());
-  double up_db = dechirp_peak(window, base_up_, scratch).second;
-  double down_db = dechirp_peak(window, base_down_, scratch).second;
-  return direction_of(up_db, down_db);
-}
-
-double Demodulator::peak_to_mean(std::span<const dsp::Complex> window) const {
-  dsp::Samples scratch(params_.chips());
-  return dechirp_peak(window, base_up_, scratch).second;
-}
-
 bool Demodulator::channel_activity(std::span<const dsp::Complex> conditioned,
                                    double threshold_db) const {
   const std::size_t n = params_.chips();

@@ -41,13 +41,6 @@ class Demodulator {
   [[nodiscard]] std::uint32_t demodulate_symbol(
       std::span<const dsp::Complex> window) const;
 
-  /// Chirp direction of an aligned window (paper's up/down detector).
-  [[nodiscard]] ChirpDirection detect_direction(
-      std::span<const dsp::Complex> window) const;
-
-  /// Peak-to-mean magnitude ratio of the dechirped FFT (detection metric).
-  [[nodiscard]] double peak_to_mean(std::span<const dsp::Complex> window) const;
-
   /// Channel activity detection (the LoRa "CAD" primitive): dechirp two
   /// consecutive symbol windows and report whether either shows a chirp.
   /// Costs two symbol times instead of a full preamble — the cheap carrier

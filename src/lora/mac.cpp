@@ -58,27 +58,14 @@ std::optional<MacFrame> MacFrame::parse(std::span<const std::uint8_t> bytes) {
   return f;
 }
 
-MacDevice MacDevice::abp(DevAddr addr, AppKey session_key) {
-  MacDevice d;
-  d.activation_ = Activation::kAbp;
-  d.joined_ = true;  // ABP skips the join procedure (paper §4.1)
-  d.dev_addr_ = addr;
-  d.key_ = session_key;
-  return d;
-}
-
 MacDevice MacDevice::otaa(std::uint64_t dev_eui, AppKey app_key) {
   MacDevice d;
-  d.activation_ = Activation::kOtaa;
-  d.joined_ = false;
   d.dev_eui_ = dev_eui;
   d.key_ = app_key;
   return d;
 }
 
 std::vector<std::uint8_t> MacDevice::join_request() {
-  if (activation_ != Activation::kOtaa)
-    throw std::logic_error("MacDevice: join_request in ABP mode");
   ++dev_nonce_;
   std::vector<std::uint8_t> out;
   out.push_back(static_cast<std::uint8_t>(MacMessageType::kJoinRequest));
@@ -92,7 +79,6 @@ std::vector<std::uint8_t> MacDevice::join_request() {
 }
 
 bool MacDevice::handle_join_accept(std::span<const std::uint8_t> frame) {
-  if (activation_ != Activation::kOtaa) return false;
   // MHDR(1) + DevAddr(4) + MIC(4).
   if (frame.size() != 9) return false;
   if (static_cast<MacMessageType>(frame[0] & 0xE0) !=
@@ -104,7 +90,6 @@ bool MacDevice::handle_join_accept(std::span<const std::uint8_t> frame) {
   dev_addr_ = read_u32(frame, 1);
   joined_ = true;
   fcnt_up_ = 0;
-  fcnt_down_ = 0;
   return true;
 }
 
@@ -124,21 +109,6 @@ std::vector<std::uint8_t> MacDevice::uplink(
   std::vector<std::uint8_t> covered(body.begin(), body.end() - 4);
   f.mic = compute_mic(covered, key_);
   return f.serialize();
-}
-
-std::optional<MacFrame> MacDevice::handle_downlink(
-    std::span<const std::uint8_t> frame) {
-  auto f = MacFrame::parse(frame);
-  if (!f) return std::nullopt;
-  if (f->dev_addr != dev_addr_) return std::nullopt;
-  if (f->type != MacMessageType::kUnconfirmedDown &&
-      f->type != MacMessageType::kConfirmedDown)
-    return std::nullopt;
-  std::vector<std::uint8_t> covered(frame.begin(), frame.end() - 4);
-  if (compute_mic(covered, key_) != f->mic) return std::nullopt;
-  if (joined_ && f->fcnt < fcnt_down_) return std::nullopt;  // replay
-  fcnt_down_ = static_cast<std::uint16_t>(f->fcnt + 1);
-  return f;
 }
 
 std::optional<std::vector<std::uint8_t>> MacNetwork::handle_join(

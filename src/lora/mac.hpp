@@ -52,13 +52,9 @@ struct MacFrame {
 [[nodiscard]] std::uint32_t compute_mic(std::span<const std::uint8_t> frame,
                                         const AppKey& key);
 
-enum class Activation { kAbp, kOtaa };
-
 /// Device-side MAC state machine.
 class MacDevice {
  public:
-  /// ABP: address and session key are pre-provisioned.
-  static MacDevice abp(DevAddr addr, AppKey session_key);
   /// OTAA: starts unjoined; join() derives the session.
   static MacDevice otaa(std::uint64_t dev_eui, AppKey app_key);
 
@@ -66,10 +62,10 @@ class MacDevice {
   [[nodiscard]] DevAddr dev_addr() const { return dev_addr_; }
   [[nodiscard]] std::uint16_t uplink_counter() const { return fcnt_up_; }
 
-  /// Build a join-request frame (OTAA only).
+  /// Build a join-request frame.
   [[nodiscard]] std::vector<std::uint8_t> join_request();
   /// Process a join-accept; assigns the dynamic address.
-  /// @returns false if the MIC fails or not in OTAA mode.
+  /// @returns false if the frame is malformed or its MIC fails.
   bool handle_join_accept(std::span<const std::uint8_t> frame);
 
   /// Build an uplink data frame; bumps the frame counter.
@@ -78,19 +74,13 @@ class MacDevice {
       std::span<const std::uint8_t> payload, std::uint8_t fport = 1,
       bool confirmed = false);
 
-  /// Validate and strip a downlink for this device.
-  [[nodiscard]] std::optional<MacFrame> handle_downlink(
-      std::span<const std::uint8_t> frame);
-
  private:
   MacDevice() = default;
-  Activation activation_ = Activation::kAbp;
   bool joined_ = false;
   DevAddr dev_addr_ = 0;
   std::uint64_t dev_eui_ = 0;
   AppKey key_{};
   std::uint16_t fcnt_up_ = 0;
-  std::uint16_t fcnt_down_ = 0;
   std::uint16_t dev_nonce_ = 0;
 };
 

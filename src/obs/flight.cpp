@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -58,19 +57,10 @@ void FlightRecorder::absorb(const FlightRecorder& shard) {
   dropped_ += shard.dropped_;
 }
 
-Seconds FlightRecorder::now() const {
-  return Seconds::from_microseconds(base_us_ + now_us_);
-}
-
 void FlightRecorder::set_time(Seconds t) { now_us_ = t.microseconds(); }
 
 void FlightRecorder::shift_base(Seconds dt) {
   base_us_ += dt.microseconds();
-  now_us_ = 0.0;
-}
-
-void FlightRecorder::reset_clock() {
-  base_us_ = 0.0;
   now_us_ = 0.0;
 }
 
@@ -110,16 +100,6 @@ std::vector<FlightRecord> FlightRecorder::records() const {
   return out;
 }
 
-std::size_t FlightRecorder::count_component(
-    std::string_view component) const {
-  std::size_t n = 0;
-  std::size_t start =
-      count_ == 0 ? 0 : (next_ + ring_.size() - count_) % ring_.size();
-  for (std::size_t i = 0; i < count_; ++i)
-    if (component == ring_[(start + i) % ring_.size()].component) ++n;
-  return n;
-}
-
 std::size_t FlightRecorder::count_at_least(FlightLevel level) const {
   std::size_t n = 0;
   std::size_t start =
@@ -127,15 +107,6 @@ std::size_t FlightRecorder::count_at_least(FlightLevel level) const {
   for (std::size_t i = 0; i < count_; ++i)
     if (ring_[(start + i) % ring_.size()].level >= level) ++n;
   return n;
-}
-
-void FlightRecorder::clear() {
-  if (unbounded_) ring_.clear();
-  next_ = 0;
-  count_ = 0;
-  dropped_ = 0;
-  reset_clock();
-  node_ = 0;
 }
 
 void FlightRecorder::write_json(std::ostream& out,
@@ -165,12 +136,6 @@ void FlightRecorder::write_json(std::ostream& out,
     out << "}";
   }
   out << "]}";
-}
-
-std::string FlightRecorder::json(std::string_view reason) const {
-  std::ostringstream oss;
-  write_json(oss, reason);
-  return oss.str();
 }
 
 bool FlightRecorder::dump_to(const std::string& path,

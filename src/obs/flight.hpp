@@ -66,10 +66,8 @@ class FlightRecorder {
   // ---------------------------------------------------------- sim clock
   /// Mirrors the Tracer clock: engines that call Tracer::set_time stamp
   /// the flight recorder with the same sim time.
-  [[nodiscard]] Seconds now() const;
   void set_time(Seconds t);
   void shift_base(Seconds dt);
-  void reset_clock();
 
   // --------------------------------------------------------------- node
   /// Node id stamped on subsequent records (campaign shards set this to
@@ -87,16 +85,13 @@ class FlightRecorder {
   [[nodiscard]] std::size_t dropped() const { return dropped_; }
   /// Records oldest-first (a copy; the ring stays untouched).
   [[nodiscard]] std::vector<FlightRecord> records() const;
-  [[nodiscard]] std::size_t count_component(std::string_view component) const;
   /// Records at `level` or more severe — the auto-dump trigger test.
   [[nodiscard]] std::size_t count_at_least(FlightLevel level) const;
-  void clear();
 
   /// `tinysdr-flight-v1` JSON: {"schema":...,"reason":...,"dropped":N,
   /// "records":[{"ts_us","level","node","component","message","args"}]}.
   /// Byte-deterministic for a fixed record sequence and reason.
   void write_json(std::ostream& out, std::string_view reason = "") const;
-  [[nodiscard]] std::string json(std::string_view reason = "") const;
   /// Write the dump to a file; false if the file cannot be opened.
   bool dump_to(const std::string& path, std::string_view reason = "") const;
 

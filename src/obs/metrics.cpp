@@ -154,28 +154,6 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::write_csv(std::ostream& out) const {
-  out << "kind,name,value,count,sum,min,max,p50,p90,p99\n";
-  for (const auto& [name, c] : counters_)
-    out << "counter," << name << "," << json_number(c.value())
-        << ",,,,,,,\n";
-  for (const auto& [name, g] : gauges_)
-    out << "gauge," << name << "," << json_number(g.value()) << ",,,,,,,\n";
-  for (const auto& [name, h] : histograms_) {
-    out << "histogram," << name << ",," << h.count() << ","
-        << json_number(h.sum()) << "," << json_number(h.min()) << ","
-        << json_number(h.max()) << "," << json_number(h.quantile(0.5)) << ","
-        << json_number(h.quantile(0.9)) << "," << json_number(h.quantile(0.99))
-        << "\n";
-  }
-}
-
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 // ---------------------------------------------------------- MetricsSnapshot
 
 void MetricsSnapshot::write_json(std::ostream& out) const {
@@ -219,52 +197,6 @@ std::string MetricsSnapshot::json() const {
   std::ostringstream oss;
   write_json(oss);
   return oss.str();
-}
-
-std::optional<MetricsSnapshot> MetricsSnapshot::from_json(
-    std::string_view src) {
-  auto doc = JsonValue::parse(src);
-  if (!doc || !doc->is_object()) return std::nullopt;
-  MetricsSnapshot snap;
-
-  auto read_scalar_map = [](const JsonValue* obj,
-                            std::map<std::string, double>& out) {
-    if (obj == nullptr || !obj->is_object()) return false;
-    for (const auto& [name, v] : obj->members) {
-      if (!v.is_number()) return false;
-      out[name] = v.number;
-    }
-    return true;
-  };
-  if (!read_scalar_map(doc->find("counters"), snap.counters))
-    return std::nullopt;
-  if (!read_scalar_map(doc->find("gauges"), snap.gauges)) return std::nullopt;
-
-  const JsonValue* hists = doc->find("histograms");
-  if (hists == nullptr || !hists->is_object()) return std::nullopt;
-  for (const auto& [name, h] : hists->members) {
-    if (!h.is_object()) return std::nullopt;
-    HistogramData d;
-    d.spec.lo = h.number_or("lo", 0.0);
-    d.spec.hi = h.number_or("hi", 1.0);
-    d.spec.buckets = static_cast<std::size_t>(h.number_or("buckets", 0.0));
-    const JsonValue* geometric = h.find("geometric");
-    d.spec.geometric = geometric != nullptr && geometric->boolean;
-    const JsonValue* counts = h.find("counts");
-    if (counts == nullptr || !counts->is_array()) return std::nullopt;
-    for (const auto& c : counts->items) {
-      if (!c.is_number()) return std::nullopt;
-      d.counts.push_back(static_cast<std::uint64_t>(c.number));
-    }
-    d.underflow = static_cast<std::uint64_t>(h.number_or("underflow", 0.0));
-    d.overflow = static_cast<std::uint64_t>(h.number_or("overflow", 0.0));
-    d.count = static_cast<std::uint64_t>(h.number_or("count", 0.0));
-    d.sum = h.number_or("sum", 0.0);
-    d.min = h.number_or("min", 0.0);
-    d.max = h.number_or("max", 0.0);
-    snap.histograms[name] = std::move(d);
-  }
-  return snap;
 }
 
 }  // namespace tinysdr::obs

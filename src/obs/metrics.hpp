@@ -1,7 +1,7 @@
 // Metrics registry: named counters, gauges and fixed-bucket histograms
 // (PER, retransmissions-per-chunk, backoff delay, SNR, demod SER,
-// per-activity energy, wall-clock profile samples) with JSON/CSV export
-// and a deterministic snapshot API.
+// per-activity energy, wall-clock profile samples) with a deterministic
+// snapshot API and JSON export.
 //
 // Same null-sink contract as the tracer: `metrics()` is nullptr until a
 // MetricsSession installs a Registry, so uninstrumented runs pay one
@@ -16,9 +16,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace tinysdr::obs {
@@ -143,8 +141,6 @@ struct MetricsSnapshot {
 
   [[nodiscard]] std::string json() const;
   void write_json(std::ostream& out) const;
-  [[nodiscard]] static std::optional<MetricsSnapshot> from_json(
-      std::string_view src);
 };
 
 class Registry {
@@ -182,11 +178,6 @@ class Registry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
   [[nodiscard]] std::string json() const { return snapshot().json(); }
   void write_json(std::ostream& out) const { snapshot().write_json(out); }
-  /// CSV: one line per instrument; histograms report count/sum/min/max
-  /// and the p50/p90/p99 estimates.
-  void write_csv(std::ostream& out) const;
-
-  void clear();
 
  private:
   bool journal_ = false;

@@ -52,11 +52,6 @@ void Tracer::shift_base(Seconds dt) {
   now_us_ = 0.0;
 }
 
-void Tracer::reset_clock() {
-  base_us_ = 0.0;
-  now_us_ = 0.0;
-}
-
 void Tracer::name_track(std::uint32_t track, std::string name) {
   track_names_[track] = std::move(name);
 }
@@ -163,16 +158,6 @@ std::size_t Tracer::count_category(std::string_view category) const {
   for (std::size_t i = 0; i < count_; ++i)
     if (category == ring_[(start + i) % ring_.size()].category) ++n;
   return n;
-}
-
-void Tracer::clear() {
-  if (unbounded_) ring_.clear();
-  next_ = 0;
-  count_ = 0;
-  dropped_ = 0;
-  track_names_.clear();
-  reset_clock();
-  track_ = 0;
 }
 
 namespace {

@@ -100,7 +100,6 @@ class Tracer {
   /// Lay consecutive timelines end to end (e.g. sequential per-node
   /// updates in a campaign): base += dt, and the relative clock restarts.
   void shift_base(Seconds dt);
-  void reset_clock();
 
   // -------------------------------------------------- track (Perfetto tid)
   void set_track(std::uint32_t track) { track_ = track; }
@@ -136,7 +135,6 @@ class Tracer {
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// Number of recorded events in a category.
   [[nodiscard]] std::size_t count_category(std::string_view category) const;
-  void clear();
 
   /// Chrome trace_event JSON ("traceEvents" array + thread-name
   /// metadata); byte-deterministic for a fixed event sequence.

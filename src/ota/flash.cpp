@@ -113,18 +113,6 @@ bool FlashModel::is_erased(std::size_t address, std::size_t length) const {
   return true;
 }
 
-const char* to_string(Slot slot) {
-  switch (slot) {
-    case Slot::kA:
-      return "A";
-    case Slot::kB:
-      return "B";
-    case Slot::kGolden:
-      return "golden";
-  }
-  return "?";
-}
-
 void FirmwareStore::store(const std::string& name,
                           std::span<const std::uint8_t> image) {
   // Reuse the slot if replacing; otherwise allocate after the last image,
@@ -196,12 +184,6 @@ bool FirmwareStore::verifies(Slot slot) const {
   return crc32_ieee(flash_->view(slot_base(slot), st.length)) == st.crc32;
 }
 
-std::optional<std::vector<std::uint8_t>> FirmwareStore::load_slot(
-    Slot slot) const {
-  if (!verifies(slot)) return std::nullopt;
-  return flash_->read(slot_base(slot), state(slot).length);
-}
-
 bool FirmwareStore::activate(Slot slot) {
   if (!verifies(slot)) return false;
   // Anti-rollback ratchet: an image older than anything this node already
@@ -224,20 +206,8 @@ bool FirmwareStore::rollback_to_golden() {
   return true;
 }
 
-std::optional<std::vector<std::uint8_t>> FirmwareStore::boot_image() {
-  if (auto image = load_slot(active_)) return image;
-  // Active image corrupt: fall back to the factory golden image.
-  if (active_ != Slot::kGolden) {
-    if (rollback_to_golden()) return load_slot(Slot::kGolden);
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 std::uint32_t FirmwareStore::slot_fingerprint(Slot slot) const {
   return state(slot).crc32;
 }
-
-bool FirmwareStore::slot_valid(Slot slot) const { return verifies(slot); }
 
 }  // namespace tinysdr::ota

@@ -122,8 +122,6 @@ class FlashModel {
 /// Firmware slot identifiers for the dual-image boot layout.
 enum class Slot : std::uint8_t { kA, kB, kGolden };
 
-[[nodiscard]] const char* to_string(Slot slot);
-
 /// Slot directory laid over the flash: named firmware images at fixed
 /// offsets, with length and CRC32 tracked in a (RAM-resident) index the
 /// MCU rebuilds at boot in the real system.
@@ -179,10 +177,6 @@ class FirmwareStore {
   bool write_slot(Slot slot, std::span<const std::uint8_t> image,
                   std::uint32_t version = 0);
 
-  /// Read a slot back, verifying its recorded fingerprint.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> load_slot(
-      Slot slot) const;
-
   /// Install the factory golden image (write + verify + remember).
   bool install_golden(std::span<const std::uint8_t> image,
                       std::uint32_t version = 0) {
@@ -206,13 +200,8 @@ class FirmwareStore {
   /// the golden image itself does not verify (unrecoverable node).
   bool rollback_to_golden();
 
-  /// What the node actually boots: the active slot if it verifies, else
-  /// golden (recording a rollback). nullopt if nothing verifies.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> boot_image();
-
   [[nodiscard]] std::size_t rollback_count() const { return rollbacks_; }
   [[nodiscard]] std::uint32_t slot_fingerprint(Slot slot) const;
-  [[nodiscard]] bool slot_valid(Slot slot) const;
 
   /// Anti-rollback state: the recorded firmware version of a slot, the
   /// ratcheted minimum acceptable version, and how many activations were

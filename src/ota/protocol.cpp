@@ -64,13 +64,6 @@ double OtaLink::packet_error_rate(std::size_t payload_bytes) const {
   return per;
 }
 
-double OtaLink::mean_error_rate(std::size_t payload_bytes) const {
-  double per = packet_error_rate(payload_bytes);
-  if (!burst_) return per;
-  double burst_loss = burst_->params().mean_loss();
-  return 1.0 - (1.0 - per) * (1.0 - burst_loss);
-}
-
 Seconds OtaLink::airtime(std::size_t payload_bytes) const {
   return lora::time_on_air(params_, payload_bytes);
 }

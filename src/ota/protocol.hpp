@@ -85,8 +85,6 @@ class OtaLink {
   [[nodiscard]] Dbm rssi() const { return rssi_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] double packet_error_rate(std::size_t payload_bytes) const;
-  /// Long-run loss rate including the burst process (if attached).
-  [[nodiscard]] double mean_error_rate(std::size_t payload_bytes) const;
   [[nodiscard]] Seconds airtime(std::size_t payload_bytes) const;
 
   /// Layer a Gilbert–Elliott burst-loss chain on top of the RSSI loss.
@@ -326,15 +324,6 @@ class AccessPoint {
       const TransferPolicy& policy = {}, NodeAgent* node = nullptr,
       sim::FaultInjector* faults = nullptr,
       LinkAttacker* attacker = nullptr) const;
-
-  /// Back-compat shim: per-packet retransmission budget only.
-  [[nodiscard]] UpdateOutcome transfer(
-      const std::vector<std::uint8_t>& compressed_image,
-      std::uint16_t device_id, OtaLink& link, std::size_t max_retries) const {
-    TransferPolicy policy;
-    policy.max_retries = max_retries;
-    return transfer(compressed_image, device_id, link, policy);
-  }
 
   [[nodiscard]] const lora::LoraParams& params() const { return params_; }
 

@@ -1,19 +1,6 @@
 #include "ota/scheduler.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
 namespace tinysdr::ota {
-
-Seconds ListenSchedule::next_window(Seconds t) const {
-  if (interval.value() <= 0.0)
-    throw std::invalid_argument("ListenSchedule: non-positive interval");
-  double relative = t.value() - phase.value();
-  if (relative <= 0.0) return phase;
-  double periods = std::ceil(relative / interval.value());
-  return Seconds{phase.value() + periods * interval.value()};
-}
 
 Milliwatts idle_listen_power(const ListenSchedule& schedule) {
   power::PlatformPowerModel model;
@@ -23,21 +10,8 @@ Milliwatts idle_listen_power(const ListenSchedule& schedule) {
   return Milliwatts{d * listen_mw + (1.0 - d) * sleep_mw};
 }
 
-Seconds worst_case_rendezvous(const ListenSchedule& schedule) {
-  return schedule.interval;
-}
-
 Seconds average_rendezvous(const ListenSchedule& schedule) {
   return Seconds{schedule.interval.value() / 2.0};
-}
-
-std::vector<Seconds> plan_fleet_rendezvous(
-    const std::vector<ListenSchedule>& schedules) {
-  std::vector<Seconds> out;
-  out.reserve(schedules.size());
-  for (const auto& s : schedules) out.push_back(s.next_window(Seconds{0.0}));
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace tinysdr::ota

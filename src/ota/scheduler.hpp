@@ -13,8 +13,6 @@
 // interval against both.
 #pragma once
 
-#include <vector>
-
 #include "common/units.hpp"
 #include "power/platform_power.hpp"
 
@@ -24,9 +22,6 @@ struct ListenSchedule {
   Seconds interval{600.0};  ///< MCU wakeup timer period
   Seconds window = Seconds::from_milliseconds(50.0);  ///< listen duration
   Seconds phase{0.0};       ///< first window offset
-
-  /// Start time of the first listen window at or after `t`.
-  [[nodiscard]] Seconds next_window(Seconds t) const;
 
   /// Fraction of time spent listening.
   [[nodiscard]] double duty() const {
@@ -38,15 +33,7 @@ struct ListenSchedule {
 /// windows, sleep otherwise).
 [[nodiscard]] Milliwatts idle_listen_power(const ListenSchedule& schedule);
 
-/// Worst-case and average latency from "update available" to "node
-/// listening".
-[[nodiscard]] Seconds worst_case_rendezvous(const ListenSchedule& schedule);
+/// Average latency from "update available" to "node listening".
 [[nodiscard]] Seconds average_rendezvous(const ListenSchedule& schedule);
-
-/// Plan a fleet update: given each node's schedule phase, the AP contacts
-/// nodes in the order their windows come up; returns per-node rendezvous
-/// times (update available at t = 0).
-[[nodiscard]] std::vector<Seconds> plan_fleet_rendezvous(
-    const std::vector<ListenSchedule>& schedules);
 
 }  // namespace tinysdr::ota

@@ -15,14 +15,6 @@ std::string_view protocol_name(Protocol p) {
   return "unknown";
 }
 
-std::optional<Protocol> protocol_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kProtocolCount; ++i) {
-    auto p = static_cast<Protocol>(i);
-    if (protocol_name(p) == name) return p;
-  }
-  return std::nullopt;
-}
-
 FrameResult score_packet(std::span<const std::uint8_t> reference,
                          std::span<const std::uint8_t> decoded,
                          bool decoded_ok) {

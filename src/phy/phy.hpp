@@ -38,12 +38,6 @@ inline constexpr std::size_t kProtocolCount = 5;
 
 [[nodiscard]] std::string_view protocol_name(Protocol p);
 
-/// Inverse of protocol_name(): the id for a wire/CLI name ("lora", "ble",
-/// ...), or nullopt for anything unrecognised. The job schema and the
-/// serve layer key PHYs by name, not enum value.
-[[nodiscard]] std::optional<Protocol> protocol_from_name(
-    std::string_view name);
-
 /// Outcome of one modulate → channel → demodulate trial, scored against
 /// the transmitted reference. Frame/bit/symbol granularity so one result
 /// type serves PER (Fig. 10), BER (Fig. 12) and SER (Fig. 11/15) curves;

@@ -40,27 +40,9 @@ fpga::Design tone_design() {
 }
 }  // namespace
 
-PlatformPowerModel::PlatformPowerModel() {
-  // Radio TX curves calibrated so whole-platform totals reproduce Fig. 9:
-  // 231 mW at 0 dBm and 283 mW at 14 dBm for 900 MHz (tone overhead below
-  // is ~91.5 mW).
-  tx_900_.flat_region = Milliwatts{139.5};
-  tx_900_.knee = Dbm{0.0};
-  tx_900_.slope_mw_per_mw = 2.16;
-  tx_2400_.flat_region = Milliwatts{143.5};
-  tx_2400_.knee = Dbm{0.0};
-  tx_2400_.slope_mw_per_mw = 2.20;
-}
-
 Milliwatts PlatformPowerModel::radio_tx_draw(radio::Band band, Dbm out) const {
   return band == radio::Band::kIsm2400 ? tx_2400_.dc_draw(out)
                                        : tx_900_.dc_draw(out);
-}
-
-Milliwatts PlatformPowerModel::backbone_tx_draw(Dbm out) const {
-  // SX1276: ~29 mA @ 3.3 V at 14 dBm, scaling with output power.
-  double rf_mw = out.milliwatts();
-  return Milliwatts{35.0 + rf_mw * 2.4};
 }
 
 Milliwatts PlatformPowerModel::sleep_power() const {

@@ -64,13 +64,25 @@ enum class Activity {
   kDecompress,   ///< MCU active, radios off
 };
 
+/// Radio TX DC draw against RF output power: flat at or below the knee,
+/// then rising at 1/PA efficiency (the radio part of Fig. 9).
+struct TxPowerCurve {
+  Milliwatts flat_region{0.0};   ///< DC draw at/below the knee
+  Dbm knee{0.0};                 ///< output level where DC starts rising
+  double slope_mw_per_mw = 0.0;  ///< dDC/dRF above the knee (1/efficiency)
+
+  [[nodiscard]] Milliwatts dc_draw(Dbm rf_output) const {
+    if (rf_output <= knee) return flat_region;
+    double extra = rf_output.milliwatts() - knee.milliwatts();
+    return flat_region + Milliwatts{extra * slope_mw_per_mw};
+  }
+};
+
 /// Stable kebab-case label (telemetry metric keys, logs).
 [[nodiscard]] const char* to_string(Activity activity);
 
 class PlatformPowerModel {
  public:
-  PlatformPowerModel();
-
   /// Total battery-side draw for an activity. TX activities take the RF
   /// output power; others ignore it.
   [[nodiscard]] Milliwatts draw(Activity activity,
@@ -98,16 +110,18 @@ class PlatformPowerModel {
   [[nodiscard]] Milliwatts radio_tx_draw(radio::Band band, Dbm out) const;
   /// Radio RX DC draw with the LVDS interface streaming.
   [[nodiscard]] Milliwatts radio_rx_draw() const { return Milliwatts{59.0}; }
-  /// Backbone (SX1276) draws.
+  /// Backbone (SX1276) RX draw.
   [[nodiscard]] Milliwatts backbone_rx_draw() const { return Milliwatts{39.0}; }
-  [[nodiscard]] Milliwatts backbone_tx_draw(Dbm out) const;
 
  private:
   FpgaPowerModel fpga_;
   McuPowerModel mcu_;
   SleepBudget sleep_;
-  radio::TxPowerCurve tx_900_;
-  radio::TxPowerCurve tx_2400_;
+  // Radio TX curves calibrated so whole-platform totals reproduce Fig. 9:
+  // 231 mW at 0 dBm and 283 mW at 14 dBm for 900 MHz (tone overhead is
+  // ~91.5 mW); the 2.4 GHz synthesizer chain draws slightly more.
+  TxPowerCurve tx_900_{Milliwatts{139.5}, Dbm{0.0}, 2.16};
+  TxPowerCurve tx_2400_{Milliwatts{143.5}, Dbm{0.0}, 2.20};
   Milliwatts regulator_overhead_{10.0};
 };
 

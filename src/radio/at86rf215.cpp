@@ -31,13 +31,7 @@ std::optional<Band> band_of(Hertz frequency) {
 }
 
 At86rf215::At86rf215(At86rf215Config config)
-    : config_(config), quantizer_(config.adc_bits, 1.0f) {
-  // 2.4 GHz synthesizer chain draws slightly more; Fig. 9 shows the two
-  // curves within a few mW of each other with 2.4 GHz marginally higher at
-  // low output.
-  tx_curve_2400_.flat_region = Milliwatts{127.0};
-  tx_curve_2400_.slope_mw_per_mw = 2.20;
-}
+    : config_(config), quantizer_(config.adc_bits, 1.0f) {}
 
 Band At86rf215::band() const {
   auto b = band_of(frequency_);
@@ -121,27 +115,6 @@ Seconds At86rf215::retune(Hertz f) {
   transition_time_ += timing_.frequency_switch;
   note_transition("retune", timing_.frequency_switch);
   return timing_.frequency_switch;
-}
-
-Milliwatts At86rf215::dc_power() const {
-  switch (state_) {
-    case RadioState::kSleep:
-      // Deep sleep: ~30 nA leakage.
-      return Milliwatts::from_microwatts(0.1);
-    case RadioState::kTrxOff:
-    case RadioState::kTxPrep:
-      return Milliwatts{10.0};
-    case RadioState::kRx:
-      // Table 2 lists 50 mW RX; §5.2 measures 59 mW with the LVDS I/Q
-      // interface streaming, which is the mode this model represents.
-      return Milliwatts{59.0};
-    case RadioState::kTx: {
-      const TxPowerCurve& curve =
-          band() == Band::kIsm2400 ? tx_curve_2400_ : tx_curve_900_;
-      return curve.dc_draw(tx_power_);
-    }
-  }
-  throw std::logic_error("At86rf215: invalid state");
 }
 
 dsp::Samples At86rf215::transmit(const dsp::Samples& baseband) const {

@@ -50,21 +50,6 @@ struct RxImpairments {
   }
 };
 
-/// TX DC power curve calibrated against the paper's Fig. 9 (whole-platform
-/// numbers minus the 108 mW FPGA+MCU+regulator baseline implied by §5.2's
-/// LoRa TX decomposition: 287 mW total, 179 mW radio).
-struct TxPowerCurve {
-  Milliwatts flat_region{123.0};   ///< DC draw at/below the knee
-  Dbm knee{0.0};                   ///< output level where DC starts rising
-  double slope_mw_per_mw = 2.16;   ///< dDC/dRF above the knee (1/efficiency)
-
-  [[nodiscard]] Milliwatts dc_draw(Dbm rf_output) const {
-    if (rf_output <= knee) return flat_region;
-    double extra = rf_output.milliwatts() - knee.milliwatts();
-    return flat_region + Milliwatts{extra * slope_mw_per_mw};
-  }
-};
-
 class At86rf215 {
  public:
   explicit At86rf215(At86rf215Config config = {});
@@ -92,9 +77,6 @@ class At86rf215 {
   Seconds enter_rx();       ///< kTrxOff/kTx -> kRx
   Seconds retune(Hertz f);  ///< frequency switch (any active state)
 
-  /// DC power draw in the current state (TX uses the calibrated curve).
-  [[nodiscard]] Milliwatts dc_power() const;
-
   /// Transmit path: waveform -> DAC quantization. The input must be a
   /// unit-power-normalised baseband block; the output is the DAC-shaped
   /// waveform the antenna sees (still unit power scale — absolute power is
@@ -117,8 +99,6 @@ class At86rf215 {
  private:
   At86rf215Config config_;
   TimingModel timing_;
-  TxPowerCurve tx_curve_900_;
-  TxPowerCurve tx_curve_2400_;
   IqQuantizer quantizer_;
   RxImpairments impairments_;
   RadioState state_ = RadioState::kSleep;

@@ -1,20 +1,13 @@
 #include "radio/frontend.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace tinysdr::radio {
 
 FrontendSpec se2435l_spec() {
   FrontendSpec spec;
   spec.name = "SE2435L";
   spec.max_output = Dbm{30.0};
-  spec.lna_gain_db = 16.0;
-  spec.pa_gain_db = 16.0;
-  spec.pa_efficiency = 0.35;
   spec.sleep_current_ua = 1.0;
   spec.bypass_current_ua = 280.0;
-  spec.supply_volts = 3.5;
   return spec;
 }
 
@@ -22,61 +15,9 @@ FrontendSpec sky66112_spec() {
   FrontendSpec spec;
   spec.name = "SKY66112";
   spec.max_output = Dbm{27.0};
-  spec.lna_gain_db = 12.0;
-  spec.pa_gain_db = 13.0;
-  spec.pa_efficiency = 0.30;
   spec.sleep_current_ua = 1.0;
   spec.bypass_current_ua = 280.0;
-  spec.supply_volts = 3.0;
   return spec;
-}
-
-Dbm Frontend::output_power(Dbm radio_output) const {
-  switch (mode_) {
-    case FrontendMode::kSleep:
-      throw std::logic_error("Frontend: output requested while asleep");
-    case FrontendMode::kBypass:
-      return radio_output;
-    case FrontendMode::kTransmit: {
-      Dbm amplified = radio_output + spec_.pa_gain_db;
-      return std::min(amplified, spec_.max_output);
-    }
-    case FrontendMode::kReceive:
-      throw std::logic_error("Frontend: output requested in receive mode");
-  }
-  throw std::logic_error("Frontend: invalid mode");
-}
-
-double Frontend::receive_gain_db() const {
-  switch (mode_) {
-    case FrontendMode::kReceive:
-      return spec_.lna_gain_db;
-    case FrontendMode::kBypass:
-      return 0.0;
-    default:
-      throw std::logic_error("Frontend: receive gain in non-receive mode");
-  }
-}
-
-Milliwatts Frontend::dc_power(Dbm rf_output) const {
-  switch (mode_) {
-    case FrontendMode::kSleep:
-      return Milliwatts::from_volts_milliamps(spec_.supply_volts,
-                                              spec_.sleep_current_ua * 1e-3);
-    case FrontendMode::kBypass:
-      return Milliwatts::from_volts_milliamps(spec_.supply_volts,
-                                              spec_.bypass_current_ua * 1e-3);
-    case FrontendMode::kReceive:
-      // LNA active draw, roughly 6 mA on these parts.
-      return Milliwatts::from_volts_milliamps(spec_.supply_volts, 6.0);
-    case FrontendMode::kTransmit: {
-      // PA draw = RF output / efficiency, with a small quiescent floor.
-      double rf_mw = rf_output.milliwatts();
-      double dc_mw = rf_mw / spec_.pa_efficiency + 15.0;
-      return Milliwatts{dc_mw};
-    }
-  }
-  throw std::logic_error("Frontend: invalid mode");
 }
 
 }  // namespace tinysdr::radio

@@ -22,13 +22,8 @@ enum class FrontendMode {
 struct FrontendSpec {
   std::string name;
   Dbm max_output{27.0};
-  double lna_gain_db = 12.0;
-  double pa_gain_db = 16.0;
-  /// Drain efficiency of the PA at max output (fraction).
-  double pa_efficiency = 0.30;
   double sleep_current_ua = 1.0;
   double bypass_current_ua = 280.0;
-  double supply_volts = 3.5;
 };
 
 /// SE2435L: 900 MHz front-end, up to +30 dBm.
@@ -44,19 +39,6 @@ class Frontend {
   [[nodiscard]] const FrontendSpec& spec() const { return spec_; }
   [[nodiscard]] FrontendMode mode() const { return mode_; }
   void set_mode(FrontendMode mode) { mode_ = mode; }
-
-  /// Output power for a given radio-chip output, given the current mode.
-  /// In bypass the signal passes through unamplified; in transmit the PA
-  /// adds its gain up to the saturation limit.
-  [[nodiscard]] Dbm output_power(Dbm radio_output) const;
-
-  /// Effective receive gain ahead of the radio (LNA in kReceive, 0 dB in
-  /// bypass).
-  [[nodiscard]] double receive_gain_db() const;
-
-  /// DC power draw in the current mode at the given RF output power
-  /// (transmit mode only; other modes use the static currents).
-  [[nodiscard]] Milliwatts dc_power(Dbm rf_output = Dbm{0.0}) const;
 
  private:
   FrontendSpec spec_;

@@ -21,106 +21,4 @@ std::int32_t decode_sample13(std::uint16_t raw) {
   return v;
 }
 
-std::uint32_t pack_word(const IqWord& word) {
-  std::uint32_t image = 0;
-  image |= std::uint32_t{kISync} << 30;
-  image |= std::uint32_t{encode_sample13(word.i)} << 17;
-  image |= std::uint32_t{word.i_ctrl ? 1u : 0u} << 16;
-  image |= std::uint32_t{kQSync} << 14;
-  image |= std::uint32_t{encode_sample13(word.q)} << 1;
-  image |= std::uint32_t{word.q_ctrl ? 1u : 0u};
-  return image;
-}
-
-std::optional<IqWord> unpack_word(std::uint32_t image) {
-  if (((image >> 30) & 0x3u) != kISync) return std::nullopt;
-  if (((image >> 14) & 0x3u) != kQSync) return std::nullopt;
-  IqWord w;
-  w.i = decode_sample13(static_cast<std::uint16_t>((image >> 17) & 0x1FFFu));
-  w.i_ctrl = ((image >> 16) & 1u) != 0;
-  w.q = decode_sample13(static_cast<std::uint16_t>((image >> 1) & 0x1FFFu));
-  w.q_ctrl = (image & 1u) != 0;
-  return w;
-}
-
-void LvdsSerializer::push(const IqWord& word) {
-  const std::uint32_t image = pack_word(word);
-  for (int b = kWordBits - 1; b >= 0; --b)
-    bits_.push_back(((image >> b) & 1u) != 0);
-}
-
-void LvdsSerializer::push_samples(
-    const std::vector<IqQuantizer::CodePair>& codes) {
-  for (const auto& c : codes) push(IqWord{c.i, c.q, false, false});
-}
-
-std::optional<IqWord> LvdsDeserializer::parse_at(std::size_t start) const {
-  // A truncated window is a parse failure, not a precondition violation:
-  // fuzzed/short streams must never read past the buffer.
-  if (start > window_.size() ||
-      window_.size() - start < static_cast<std::size_t>(kWordBits))
-    return std::nullopt;
-  std::uint32_t image = 0;
-  for (std::size_t b = 0; b < static_cast<std::size_t>(kWordBits); ++b)
-    image = (image << 1) | (window_[start + b] ? 1u : 0u);
-  return unpack_word(image);
-}
-
-void LvdsDeserializer::feed(bool bit) {
-  window_.push_back(bit);
-
-  if (in_sync_) {
-    if (window_.size() < static_cast<std::size_t>(kWordBits)) return;
-    auto word = parse_at(0);
-    if (word) {
-      words_.push_back(*word);
-      window_.clear();
-    } else {
-      // Bit slip: fall back to hunting over the stale window.
-      in_sync_ = false;
-    }
-    return;
-  }
-
-  // Hunting: require two back-to-back parsable words (64 bits) before
-  // declaring lock — a single 4-bit sync match false-fires too often on
-  // random sample data.
-  const auto hunt_bits = static_cast<std::size_t>(2 * kWordBits);
-  if (window_.size() < hunt_bits) return;
-  while (window_.size() > hunt_bits) {
-    window_.erase(window_.begin());
-    ++slipped_;
-  }
-  auto first = parse_at(0);
-  auto second = parse_at(static_cast<std::size_t>(kWordBits));
-  if (first && second) {
-    words_.push_back(*first);
-    words_.push_back(*second);
-    window_.clear();
-    in_sync_ = true;
-  } else {
-    window_.erase(window_.begin());
-    ++slipped_;
-  }
-}
-
-void LvdsDeserializer::feed(const std::vector<bool>& bits) {
-  for (bool b : bits) feed(b);
-}
-
-std::vector<IqWord> LvdsDeserializer::take_words() {
-  std::vector<IqWord> out;
-  out.swap(words_);
-  return out;
-}
-
-std::vector<IqWord> lvds_roundtrip(
-    const std::vector<IqQuantizer::CodePair>& codes) {
-  LvdsSerializer ser;
-  ser.push_samples(codes);
-  LvdsDeserializer des;
-  des.feed(ser.bits());
-  return des.take_words();
-}
-
 }  // namespace tinysdr::radio

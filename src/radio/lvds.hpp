@@ -1,32 +1,18 @@
-// LVDS serial I/Q interface between the AT86RF215 and the FPGA.
+// 13-bit I/Q sample words of the AT86RF215's LVDS interface (paper Fig. 4).
 //
-// Bit-exact model of the paper's Fig. 4 word structure. The radio emits
-// 32-bit serial words at 4 Mwords/s (128 Mbps over a 64 MHz DDR clock):
+// The radio emits 32-bit serial words at 4 Mwords/s (128 Mbps over a 64 MHz
+// DDR clock):
 //
 //   [ I_SYNC(2) | I_DATA(13) | CTRL(1) | Q_SYNC(2) | Q_DATA(13) | CTRL(1) ]
 //
-// The FPGA-side deserializer samples both clock edges, hunts for the
-// I_SYNC/Q_SYNC patterns to find word boundaries, and loads I/Q into 13-bit
-// registers for parallel processing. We reproduce the serializer, the
-// deserializer (including resynchronisation after bit slips), and the
-// signed 13-bit sample encoding.
+// What the simulator keeps of that interface is the decoded word and the
+// signed 13-bit sample encoding, which the FPGA's sample FIFO and the
+// microSD recorder's 26-bit packing are built on.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
-
-#include "radio/quantizer.hpp"
 
 namespace tinysdr::radio {
-
-/// Sync patterns (2 bits each). Chosen so that I and Q fields are
-/// distinguishable and a stream of idle zeros never aliases a sync.
-inline constexpr std::uint8_t kISync = 0b10;
-inline constexpr std::uint8_t kQSync = 0b01;
-
-inline constexpr int kSampleBits = 13;
-inline constexpr int kWordBits = 32;
 
 /// One decoded I/Q word.
 struct IqWord {
@@ -40,84 +26,5 @@ struct IqWord {
 [[nodiscard]] std::uint16_t encode_sample13(std::int32_t value);
 /// Decode 13-bit two's complement to a signed sample.
 [[nodiscard]] std::int32_t decode_sample13(std::uint16_t raw);
-
-/// Pack one I/Q word into its 32-bit wire image (MSB = first bit on the
-/// wire). @throws std::out_of_range if a sample is outside 13-bit range.
-[[nodiscard]] std::uint32_t pack_word(const IqWord& word);
-
-/// Parse a 32-bit wire image. Returns nullopt — never UB, never a
-/// half-decoded word — when either sync field is invalid: I_SYNC must be
-/// exactly 0b10 and Q_SYNC exactly 0b01, so images with both sync bits
-/// set (0b11), swapped fields, or idle zeros are all rejected.
-[[nodiscard]] std::optional<IqWord> unpack_word(std::uint32_t image);
-
-/// Serialize I/Q words to a flat bit stream (MSB of the word first, which
-/// is the order the DDR interface shifts).
-class LvdsSerializer {
- public:
-  /// Append one word's 32 bits to the stream.
-  void push(const IqWord& word);
-
-  /// Append a block of quantized samples (ctrl bits zero).
-  void push_samples(const std::vector<IqQuantizer::CodePair>& codes);
-
-  [[nodiscard]] const std::vector<bool>& bits() const { return bits_; }
-  [[nodiscard]] std::size_t word_count() const { return bits_.size() / kWordBits; }
-
-  /// Serialized throughput in bits per second given the word rate.
-  [[nodiscard]] static double throughput_bps(double words_per_second) {
-    return words_per_second * kWordBits;
-  }
-
- private:
-  std::vector<bool> bits_;
-};
-
-/// FPGA-side deserializer with sync hunting.
-///
-/// Feed bits one at a time (as they arrive off the DDR sampler); decoded
-/// words become available via `take_words()`. If the stream starts
-/// mid-word or slips, the deserializer re-hunts for an I_SYNC at the next
-/// position where the full word parses with both sync fields valid.
-class LvdsDeserializer {
- public:
-  void feed(bool bit);
-  void feed(const std::vector<bool>& bits);
-
-  /// Words decoded so far (consumes them).
-  [[nodiscard]] std::vector<IqWord> take_words();
-
-  /// Number of bits discarded while hunting for sync.
-  [[nodiscard]] std::size_t slipped_bits() const { return slipped_; }
-
-  /// Bits buffered but not yet decoded or discarded — nonzero after a
-  /// stream that ends mid-word. A truncated final word is *rejected*
-  /// (held here, never emitted as a garbage word); every fed bit is
-  /// accounted for as 32 * decoded words + slipped_bits() + pending_bits().
-  [[nodiscard]] std::size_t pending_bits() const { return window_.size(); }
-
-  [[nodiscard]] bool in_sync() const { return in_sync_; }
-
- private:
-  /// Try to parse 32 bits of `window_` starting at `start`. nullopt if the
-  /// window holds fewer than 32 bits past `start` (truncated word) or the
-  /// sync fields don't match — defensive on both counts, so no caller can
-  /// turn a short window into out-of-bounds reads.
-  [[nodiscard]] std::optional<IqWord> parse_at(std::size_t start) const;
-
-  std::vector<bool> window_;
-  std::vector<IqWord> words_;
-  std::size_t slipped_ = 0;
-  bool in_sync_ = false;
-};
-
-/// Convenience: full round trip from quantized samples through the serial
-/// stream back to samples.
-[[nodiscard]] std::vector<IqWord> lvds_roundtrip(
-    const std::vector<IqQuantizer::CodePair>& codes);
-
-/// Paper-facing names for the two halves of the Fig. 4 word codec.
-using Framer = LvdsSerializer;
-using Deframer = LvdsDeserializer;
 
 }  // namespace tinysdr::radio

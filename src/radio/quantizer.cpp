@@ -57,6 +57,5 @@ void IqQuantizer::roundtrip_in_place(std::span<dsp::Complex> block) const {
   for (auto& s : block) s = dequantize(quantize(s));
 }
 
-double IqQuantizer::ideal_snr_db() const { return 6.02 * bits_ + 1.76; }
 
 }  // namespace tinysdr::radio

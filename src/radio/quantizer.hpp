@@ -47,9 +47,6 @@ class IqQuantizer {
   /// roundtrip() over a block where it lives (a TX buffer being built).
   void roundtrip_in_place(std::span<dsp::Complex> block) const;
 
-  /// Theoretical quantization SNR for a full-scale sine (6.02*bits + 1.76).
-  [[nodiscard]] double ideal_snr_db() const;
-
  private:
   int bits_;
   float full_scale_;

@@ -83,8 +83,4 @@ std::vector<CdfPoint> empirical_cdf(std::vector<double>&& values) {
   return out;
 }
 
-std::vector<CdfPoint> empirical_cdf(const std::vector<double>& values) {
-  return empirical_cdf(std::vector<double>{values});
-}
-
 }  // namespace tinysdr::testbed

@@ -69,8 +69,5 @@ struct CdfPoint {
 };
 /// Sorts in place (callers hand over the vector with std::move).
 [[nodiscard]] std::vector<CdfPoint> empirical_cdf(std::vector<double>&& values);
-/// Copying overload for callers that keep their samples.
-[[nodiscard]] std::vector<CdfPoint> empirical_cdf(
-    const std::vector<double>& values);
 
 }  // namespace tinysdr::testbed

@@ -15,10 +15,6 @@ Dbm MeshNetwork::link_rssi(double from_m, double to_m) const {
   return model_.received_power(tx_power_, distance);
 }
 
-bool MeshNetwork::connected(double from_m, double to_m) const {
-  return lora::select_rate(link_rssi(from_m, to_m), margin_db_).has_value();
-}
-
 std::optional<Route> MeshNetwork::route_to(std::uint16_t dest_id,
                                            std::size_t payload_bytes) const {
   // Vertices: 0 = AP at position 0; 1..N = nodes.

@@ -57,9 +57,6 @@ class MeshNetwork {
   /// RSSI between two transect positions.
   [[nodiscard]] Dbm link_rssi(double from_m, double to_m) const;
 
-  /// Can the pair close a link at any rung of the ADR ladder?
-  [[nodiscard]] bool connected(double from_m, double to_m) const;
-
   /// Route from the AP (position 0) to `dest_id` for a payload:
   /// breadth-first fewest-hops, each hop rated by the ADR policy.
   /// nullopt when the destination is unreachable even through relays.

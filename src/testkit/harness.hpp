@@ -32,7 +32,7 @@
 namespace tinysdr::testkit {
 
 struct Harness {
-  std::string name;  ///< dotted id, e.g. "lvds.deframer_bits"
+  std::string name;  ///< dotted id, e.g. "ota.lzo_decode"
   /// Total over all inputs; throws (anything) to report a violation.
   std::function<void(std::span<const std::uint8_t>)> run;
   /// Length cap for generated inputs (corpus files are run as-is).

@@ -47,15 +47,6 @@ std::pair<std::uint8_t, int> nearest_symbol_word(std::uint32_t word) {
   return {best, best_dist};
 }
 
-std::pair<std::uint8_t, int> nearest_symbol(std::span<const bool> chips) {
-  if (chips.size() < kChipsPerSymbol)
-    throw std::invalid_argument("nearest_symbol: need 32 chips");
-  std::uint32_t word = 0;
-  for (std::size_t i = 0; i < kChipsPerSymbol; ++i)
-    word |= static_cast<std::uint32_t>(chips[i] ? 1u : 0u) << i;
-  return nearest_symbol_word(word);
-}
-
 std::uint16_t fcs16(std::span<const std::uint8_t> data) {
   // ITU CRC-16 (reflected 0x1021 = 0x8408), init 0x0000 — 802.15.4 FCS.
   std::uint16_t crc = 0x0000;

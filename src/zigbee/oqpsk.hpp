@@ -34,10 +34,8 @@ inline constexpr std::size_t kMaxPsdu = 127;
 /// Expand a 4-bit symbol to its chip sequence.
 [[nodiscard]] std::array<bool, kChipsPerSymbol> chips_for(std::uint8_t symbol);
 
-/// Min-Hamming-distance decision over the table; returns (symbol, distance).
-[[nodiscard]] std::pair<std::uint8_t, int> nearest_symbol(
-    std::span<const bool> chips);
-/// Same decision from a pre-packed 32-chip word (bit i = chip i).
+/// Min-Hamming-distance decision over the table for a packed 32-chip word
+/// (bit i = chip i); returns (symbol, distance).
 [[nodiscard]] std::pair<std::uint8_t, int> nearest_symbol_word(
     std::uint32_t word);
 

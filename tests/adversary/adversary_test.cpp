@@ -126,76 +126,6 @@ TEST(Jammer, SweepEmitsUnitPowerChirp) {
     EXPECT_NEAR(std::norm(out[n]), 1.0f, 1e-4);
 }
 
-TEST(Jammer, SyncJammerHitsOnlyThePreambleWindow) {
-  SyncJammerConfig cfg;
-  cfg.preamble_samples = 256;
-  cfg.reaction_latency = 16;
-  SyncJammer jammer{cfg};
-  Rng rng{8, 3};
-
-  // Silence: never keys up.
-  dsp::Samples out;
-  dsp::Samples silence(512, dsp::Complex{0.0f, 0.0f});
-  jammer.emit(silence, out, rng);
-  EXPECT_TRUE(out.empty());
-
-  // A frame with a 500-sample silent pad: the jam burst covers exactly
-  // the sync window [onset + latency, onset + preamble_samples) and the
-  // payload region after it is untouched (emission ends early — the
-  // simulator pads missing tail samples with silence).
-  dsp::Samples signal(500, dsp::Complex{0.0f, 0.0f});
-  signal.resize(4096, dsp::Complex{1.0f, 0.0f});
-  jammer.emit(signal, out, rng);
-  const std::size_t onset = 500;
-  ASSERT_EQ(out.size(), onset + cfg.preamble_samples);
-  for (std::size_t n = 0; n < onset + cfg.reaction_latency; ++n)
-    ASSERT_EQ(std::norm(out[n]), 0.0f) << "sample " << n;
-  double energy = 0.0;
-  for (std::size_t n = onset + cfg.reaction_latency; n < out.size(); ++n)
-    energy += std::norm(out[n]);
-  EXPECT_GT(energy / static_cast<double>(cfg.preamble_samples -
-                                         cfg.reaction_latency),
-            0.1);
-
-  // Same seed, same burst — byte-determinism like every other jammer.
-  dsp::Samples a, b;
-  Rng ra{77, 5}, rb{77, 5};
-  jammer.emit(signal, a, ra);
-  jammer.emit(signal, b, rb);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t n = 0; n < a.size(); ++n) EXPECT_EQ(a[n], b[n]);
-}
-
-TEST(Jammer, SyncJammerDegradesLinkWithTinyDutyCycle) {
-  // Preamble-only jamming at +10 dB breaks the LoRa link even though the
-  // jammer is on for a small fraction of the frame, and the jam-sample
-  // counter proves the low duty cycle.
-  auto cfg = test_lora_config();
-  phy::LoraSymbolTx tx{cfg};
-  phy::LoraSymbolRx rx{cfg};
-
-  SyncJammerConfig jam_cfg;
-  jam_cfg.preamble_samples = 2048;  // covers the sync region at SF7
-  SyncJammer jammer{jam_cfg};
-
-  obs::Registry registry;
-  obs::MetricsSession session{registry};
-  phy::LinkSimulator clean{tx, rx, small_plan(0xC1EA)};
-  auto clean_result = clean.run_point({Dbm{-110.0}, std::nullopt});
-  EXPECT_EQ(clean_result.frame_errors, 0u);
-
-  phy::LinkSimulator attacked{tx, rx, small_plan(0xC1EA)};
-  attacked.add_interferer(jammer, Dbm{-100.0});
-  auto jammed = attacked.run_point({Dbm{-110.0}, std::nullopt});
-  EXPECT_GT(jammed.frame_errors + jammed.symbol_errors, 0u);
-
-  const std::string json = registry.json();
-  EXPECT_NE(json.find("adversary.sync_triggers"), std::string::npos);
-  EXPECT_NE(json.find("adversary.jam_samples"), std::string::npos);
-}
-
-// ------------------------------------------- link simulator integration
-
 TEST(JammerLink, StrongJammerDegradesLinkDeterministically) {
   auto cfg = test_lora_config();
   phy::LoraSymbolTx tx{cfg};

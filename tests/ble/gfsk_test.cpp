@@ -105,11 +105,5 @@ TEST(GfskLoopback, BerDegradesGracefullyWithRssi) {
   EXPECT_GT(very_weak, 0.01);
 }
 
-TEST(CountBitErrors, ComparesShorterLength) {
-  std::vector<bool> a{true, false, true, true};
-  std::vector<bool> b{true, true, true};
-  EXPECT_EQ(count_bit_errors(a, b), 1u);
-}
-
 }  // namespace
 }  // namespace tinysdr::ble

@@ -105,26 +105,5 @@ TEST(Superpose, TruncatesAtEnd) {
   EXPECT_NEAR(a[3].real(), 1.0f, 1e-6);
 }
 
-TEST(ApplyCfo, ShiftsToneFrequency) {
-  // A DC block with CFO applied becomes a tone at the CFO frequency.
-  dsp::Samples dc(1000, dsp::Complex{1.0f, 0.0f});
-  auto shifted = apply_cfo(dc, 0.1);
-  // Check the rotation rate between consecutive samples: 0.1 cycles.
-  for (std::size_t i = 1; i < 10; ++i) {
-    auto rot = shifted[i] * std::conj(shifted[i - 1]);
-    double angle = std::arg(rot) / (2.0 * 3.14159265358979);
-    EXPECT_NEAR(angle, 0.1, 1e-3);
-  }
-}
-
-TEST(ApplyCfo, ZeroCfoIsIdentity) {
-  dsp::Samples x{{1, 2}, {3, -4}, {0.5, 0.25}};
-  auto y = apply_cfo(x, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(y[i].real(), x[i].real(), 1e-6);
-    EXPECT_NEAR(y[i].imag(), x[i].imag(), 1e-6);
-  }
-}
-
 }  // namespace
 }  // namespace tinysdr::channel

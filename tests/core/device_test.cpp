@@ -10,7 +10,10 @@ namespace {
 TEST(TinySdrDevice, StartsAsleepAtMicrowatts) {
   TinySdrDevice dev{1};
   EXPECT_EQ(dev.state(), DeviceState::kSleep);
-  EXPECT_NEAR(dev.current_draw().microwatts(), 30.0, 3.0);
+  // A planned sleep is billed at the 30 uW sleep floor.
+  dev.sleep(Seconds{1.0});
+  ASSERT_EQ(dev.ledger().entries().size(), 1u);
+  EXPECT_NEAR(dev.ledger().entries()[0].draw.microwatts(), 30.0, 3.0);
 }
 
 TEST(TinySdrDevice, OperationsRequireWake) {

@@ -33,8 +33,11 @@ TEST(Integration, OtaUpdateThenSwitchProtocolFromFlash) {
 
 TEST(Integration, MacOverPhyEndToEnd) {
   // LoRaWAN-style frame over the actual CSS PHY between two devices.
-  auto mac_dev = lora::MacDevice::abp(0x1234, lora::AppKey{});
+  auto mac_dev = lora::MacDevice::otaa(0x1234, lora::AppKey{});
   lora::MacNetwork network{lora::AppKey{}};
+  auto accept = network.handle_join(mac_dev.join_request());
+  ASSERT_TRUE(accept.has_value());
+  ASSERT_TRUE(mac_dev.handle_join_accept(*accept));
 
   TinySdrDevice node{1}, gateway{2};
   node.wake();
@@ -58,7 +61,7 @@ TEST(Integration, MacOverPhyEndToEnd) {
   auto mac_rx = network.handle_uplink(rx->packet.payload);
   ASSERT_TRUE(mac_rx.has_value());
   EXPECT_EQ(mac_rx->payload, sensor_data);
-  EXPECT_EQ(mac_rx->dev_addr, 0x1234u);
+  EXPECT_EQ(mac_rx->dev_addr, mac_dev.dev_addr());
 }
 
 TEST(Integration, FullOtaPipelineDeliversLoadableDesign) {

@@ -39,7 +39,7 @@ const tinysdr::testkit::Harness* g_harness = nullptr;
 extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   tinysdr::fuzz::register_builtin_harnesses();
   const char* name = std::getenv("TINYSDR_FUZZ_HARNESS");
-  if (name == nullptr || *name == '\0') name = "lvds.deframer_bits";
+  if (name == nullptr || *name == '\0') name = "ota.transfer";
   g_harness = tinysdr::testkit::HarnessRegistry::instance().find(name);
   if (g_harness == nullptr) {
     std::fprintf(stderr, "tinysdr_fuzz: unknown harness '%s'\n", name);

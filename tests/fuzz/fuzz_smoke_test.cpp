@@ -28,7 +28,7 @@ std::size_t env_iters(std::size_t fallback) {
 TEST(FuzzSmoke, EveryHarnessRunsCleanOverCorpusAndSeedStream) {
   register_builtin_harnesses();
   const auto& harnesses = testkit::HarnessRegistry::instance().all();
-  // 2 LVDS + 2 OTA + 5 PHY + 1 obs.
+  // OTA, PHY, obs, adversary and impairment harnesses.
   ASSERT_GE(harnesses.size(), 10u);
   for (const auto& h : harnesses) {
     testkit::FuzzRunConfig cfg;
@@ -43,7 +43,7 @@ TEST(FuzzSmoke, EveryHarnessRunsCleanOverCorpusAndSeedStream) {
 TEST(FuzzSmoke, GeneratedInputsReplayFromSeedAndIndexAlone) {
   register_builtin_harnesses();
   const auto* h =
-      testkit::HarnessRegistry::instance().find("lvds.deframer_bits");
+      testkit::HarnessRegistry::instance().find("ota.transfer");
   ASSERT_NE(h, nullptr);
   for (std::uint64_t index : {std::uint64_t{0}, std::uint64_t{1},
                               std::uint64_t{17}, std::uint64_t{999}}) {

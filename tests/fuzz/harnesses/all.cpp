@@ -4,7 +4,6 @@ namespace tinysdr::fuzz {
 
 void register_builtin_harnesses() {
   static const bool once = [] {
-    register_lvds_harnesses();
     register_ota_harnesses();
     register_phy_harnesses();
     register_obs_harnesses();

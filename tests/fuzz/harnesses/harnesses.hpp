@@ -12,7 +12,6 @@
 
 namespace tinysdr::fuzz {
 
-void register_lvds_harnesses();
 void register_ota_harnesses();
 void register_phy_harnesses();
 void register_obs_harnesses();

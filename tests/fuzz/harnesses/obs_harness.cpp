@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -127,13 +126,6 @@ void metrics_merge(std::span<const std::uint8_t> data) {
   grouped.merge_from(right);
   require(grouped.snapshot() == serial.snapshot(),
           "two-level merge is not associative with the flat merge");
-
-  // CSV export stays total (including on the empty registry).
-  std::ostringstream csv;
-  serial.write_csv(csv);
-  obs::Registry empty;
-  std::ostringstream empty_csv;
-  empty.write_csv(empty_csv);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Calibration blocks: DC removal (batch mean and streaming notch),
+// Calibration blocks: DC removal (batch mean),
 // blind Moseley–Slump IQ-imbalance estimation, and the autocorrelation
 // CFO estimator — each proven to invert the matching impairment block.
 #include "impair/correct.hpp"
@@ -46,40 +46,6 @@ TEST(RemoveDc, SubtractsTheMean) {
 TEST(RemoveDc, EmptyCaptureIsSafe) {
   std::vector<dsp::Complex> empty;
   EXPECT_EQ(remove_dc(empty), (dsp::Complex{0.0f, 0.0f}));
-}
-
-TEST(DcNotch, ConvergesOntoTheOffset) {
-  auto x = circular_signal(16384, 12);
-  DcOffset imp{{0.5f, 0.25f}};
-  ImpairState st{Rng{2, 64}};
-  imp.apply(x, st);
-
-  DcNotch notch;
-  notch.process(x);
-  EXPECT_NEAR(notch.dc().real(), 0.5f, 0.1);
-  EXPECT_NEAR(notch.dc().imag(), 0.25f, 0.1);
-
-  // Steady-state tail is centred again.
-  double re = 0.0, im = 0.0;
-  const std::size_t tail = 4096;
-  for (std::size_t i = x.size() - tail; i < x.size(); ++i) {
-    re += x[i].real();
-    im += x[i].imag();
-  }
-  EXPECT_NEAR(re / tail, 0.0, 0.1);
-  EXPECT_NEAR(im / tail, 0.0, 0.1);
-}
-
-TEST(DcNotch, ChunkedProcessingMatchesWhole) {
-  auto whole = circular_signal(1000, 13);
-  auto split = whole;
-  DcNotch a, b;
-  a.process(whole);
-  for (std::size_t off = 0; off < split.size(); off += 37) {
-    const std::size_t n = std::min<std::size_t>(37, split.size() - off);
-    b.process(std::span<dsp::Complex>{split.data() + off, n});
-  }
-  EXPECT_EQ(whole, split);
 }
 
 TEST(IqImbalanceCorrection, RecoversTheInjectedParameters) {

@@ -12,6 +12,14 @@ AppKey test_key() {
   return k;
 }
 
+/// An OTAA device that has joined `net`.
+MacDevice joined_device(MacNetwork& net, std::uint64_t dev_eui) {
+  auto dev = MacDevice::otaa(dev_eui, test_key());
+  auto accept = net.handle_join(dev.join_request());
+  EXPECT_TRUE(accept.has_value() && dev.handle_join_accept(*accept));
+  return dev;
+}
+
 TEST(MacFrame, SerializeParseRoundTrip) {
   MacFrame f;
   f.type = MacMessageType::kUnconfirmedUp;
@@ -33,25 +41,6 @@ TEST(MacFrame, SerializeParseRoundTrip) {
 TEST(MacFrame, RejectsShortFrames) {
   std::vector<std::uint8_t> tiny(5, 0);
   EXPECT_FALSE(MacFrame::parse(tiny).has_value());
-}
-
-TEST(AbpDevice, JoinedImmediately) {
-  // Paper: "in ABP we can hard-code the device address... the node skips
-  // the join procedure".
-  auto dev = MacDevice::abp(0x11223344, test_key());
-  EXPECT_TRUE(dev.joined());
-  EXPECT_EQ(dev.dev_addr(), 0x11223344u);
-}
-
-TEST(AbpDevice, UplinkAcceptedByNetwork) {
-  auto dev = MacDevice::abp(0x11223344, test_key());
-  MacNetwork net{test_key()};
-  std::vector<std::uint8_t> data{0x10, 0x20};
-  auto frame = dev.uplink(data);
-  auto rx = net.handle_uplink(frame);
-  ASSERT_TRUE(rx.has_value());
-  EXPECT_EQ(rx->payload, data);
-  EXPECT_EQ(rx->dev_addr, 0x11223344u);
 }
 
 TEST(OtaaDevice, FullJoinFlow) {
@@ -81,16 +70,16 @@ TEST(OtaaDevice, JoinAcceptWithWrongKeyRejected) {
 }
 
 TEST(MacNetwork, CorruptedMicRejected) {
-  auto dev = MacDevice::abp(5, test_key());
   MacNetwork net{test_key()};
+  auto dev = joined_device(net, 5);
   auto frame = dev.uplink(std::vector<std::uint8_t>{1, 2, 3});
   frame[frame.size() - 1] ^= 0xFF;
   EXPECT_FALSE(net.handle_uplink(frame).has_value());
 }
 
 TEST(MacNetwork, ReplayRejected) {
-  auto dev = MacDevice::abp(5, test_key());
   MacNetwork net{test_key()};
+  auto dev = joined_device(net, 5);
   auto f1 = dev.uplink(std::vector<std::uint8_t>{1});
   auto f2 = dev.uplink(std::vector<std::uint8_t>{2});
   EXPECT_TRUE(net.handle_uplink(f1).has_value());
@@ -99,28 +88,12 @@ TEST(MacNetwork, ReplayRejected) {
 }
 
 TEST(MacDevice, FrameCounterIncrements) {
-  auto dev = MacDevice::abp(9, test_key());
+  MacNetwork net{test_key()};
+  auto dev = joined_device(net, 9);
   EXPECT_EQ(dev.uplink_counter(), 0u);
   (void)dev.uplink(std::vector<std::uint8_t>{1});
   (void)dev.uplink(std::vector<std::uint8_t>{2});
   EXPECT_EQ(dev.uplink_counter(), 2u);
-}
-
-TEST(MacDevice, DownlinkAddressFilter) {
-  auto dev = MacDevice::abp(0xAAAA, test_key());
-  MacFrame down;
-  down.type = MacMessageType::kUnconfirmedDown;
-  down.dev_addr = 0xBBBB;  // someone else
-  auto body = down.serialize();
-  std::vector<std::uint8_t> covered(body.begin(), body.end() - 4);
-  down.mic = compute_mic(covered, test_key());
-  EXPECT_FALSE(dev.handle_downlink(down.serialize()).has_value());
-
-  down.dev_addr = 0xAAAA;
-  body = down.serialize();
-  covered.assign(body.begin(), body.end() - 4);
-  down.mic = compute_mic(covered, test_key());
-  EXPECT_TRUE(dev.handle_downlink(down.serialize()).has_value());
 }
 
 TEST(ReceiveWindows, FeasibleWithTable4Timings) {

@@ -4,6 +4,7 @@
 
 #include "channel/noise.hpp"
 #include "common/rng.hpp"
+#include "impair/impair.hpp"
 #include "lora/demodulator.hpp"
 #include "lora/modulator.hpp"
 #include "lora/sx1276.hpp"
@@ -157,24 +158,14 @@ TEST(Demodulator, SmallCfoTolerated) {
   Demodulator demod{sf8_125(), bw125()};
   auto wave = mod.modulate(payload_bytes());
   // CFO of half an FFT bin (0.5/256 cycles/sample at critical rate).
-  auto shifted = channel::apply_cfo(wave, 0.4 / 256.0);
+  impair::ImpairState cfo_state;
+  impair::CfoDrift{0.4 / 256.0}.apply(wave, cfo_state);
   dsp::Samples padded(300, dsp::Complex{0, 0});
-  padded.insert(padded.end(), shifted.begin(), shifted.end());
+  padded.insert(padded.end(), wave.begin(), wave.end());
   padded.insert(padded.end(), 300, dsp::Complex{0, 0});
   auto result = demod.receive(padded);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->packet.payload, payload_bytes());
-}
-
-TEST(Demodulator, DirectionDetectorMatchesPaper) {
-  // §4.1: "we multiply each chirp symbol with both an upchirp and
-  // downchirp and then compare the amplitudes of their FFT peaks".
-  Demodulator demod{sf8_125(), bw125()};
-  ChirpGenerator g{sf8_125(), bw125()};
-  EXPECT_EQ(demod.detect_direction(g.symbol(13, ChirpDirection::kUp)),
-            ChirpDirection::kUp);
-  EXPECT_EQ(demod.detect_direction(g.symbol(0, ChirpDirection::kDown)),
-            ChirpDirection::kDown);
 }
 
 TEST(Demodulator, AlignedSymbolDemodExact) {

@@ -14,6 +14,7 @@
 
 #include "channel/noise.hpp"
 #include "common/rng.hpp"
+#include "impair/impair.hpp"
 #include "lora/chirp.hpp"
 #include "lora/demodulator.hpp"
 #include "lora/packet.hpp"
@@ -80,10 +81,12 @@ Capture make_capture(int sf, Kind kind) {
     c.iq.insert(c.iq.end(), n, dsp::Complex{0.0f, 0.0f});
 
   channel::AwgnChannel chan{bw125(), 6.0, Rng{seed, 1}};
-  if (kind == Kind::kKnee)
+  if (kind == Kind::kKnee) {
     // 0.7 bins of CFO so the SFD's CFO estimate is non-zero.
-    c.iq = chan.apply(channel::apply_cfo(c.iq, 0.7 / static_cast<double>(n)),
-                      Dbm{knee_dbm(sf)});
+    impair::ImpairState cfo_state;
+    impair::CfoDrift{0.7 / static_cast<double>(n)}.apply(c.iq, cfo_state);
+    c.iq = chan.apply(c.iq, Dbm{knee_dbm(sf)});
+  }
   if (kind == Kind::kNoiseOnly)
     c.iq = chan.noise_only(c.iq.size(), chan.floor() + 0.0);
   return c;

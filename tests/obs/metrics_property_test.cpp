@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -90,15 +89,13 @@ TEST(MetricsEdge, MergeCollidingKeysMatchesSerialExecution) {
 
 TEST(MetricsEdge, EmptyRegistryExportsAreTotal) {
   Registry empty;
-  std::ostringstream csv;
-  empty.write_csv(csv);
   auto snapshot = empty.snapshot();
   EXPECT_TRUE(snapshot.counters.empty());
   EXPECT_TRUE(snapshot.gauges.empty());
   EXPECT_TRUE(snapshot.histograms.empty());
-  auto parsed = MetricsSnapshot::from_json(empty.json());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, snapshot);
+  EXPECT_EQ(empty.json(),
+            "{\"schema\":\"tinysdr-metrics-v1\",\"counters\":{},"
+            "\"gauges\":{},\"histograms\":{}}");
 
   // Merging an empty shard (journaled or not) is a no-op.
   Registry target;

@@ -39,8 +39,6 @@ TEST(Tracer, ClockArithmetic) {
   EXPECT_DOUBLE_EQ(t.now().value(), 2.0);
   t.set_time(Seconds{0.25});
   EXPECT_DOUBLE_EQ(t.now().value(), 2.25);
-  t.reset_clock();
-  EXPECT_DOUBLE_EQ(t.now().value(), 0.0);
 }
 
 TEST(Tracer, RecordsEventsWithSimTimestamps) {

@@ -83,7 +83,9 @@ TEST(AccessPoint, HopelessLinkAborts) {
   OtaLink link{ota_link_params(), Dbm{-140.0}, rng};
   std::vector<std::uint8_t> image(5000, 0x11);
   AccessPoint ap;
-  auto outcome = ap.transfer(image, 7, link, 5);
+  TransferPolicy policy;
+  policy.max_retries = 5;
+  auto outcome = ap.transfer(image, 7, link, policy);
   EXPECT_FALSE(outcome.success);
 }
 

@@ -156,9 +156,7 @@ TEST(OtaResilience, CorruptedImageRollsBackToGolden) {
   EXPECT_EQ(report.failure, UpdateFailure::kImageVerify);
   EXPECT_TRUE(report.rolled_back);
   EXPECT_EQ(store.active_slot(), Slot::kGolden);
-  auto boot = store.boot_image();
-  ASSERT_TRUE(boot.has_value());
-  EXPECT_EQ(*boot, golden);
+  EXPECT_EQ(flash.read(FirmwareStore::kGoldenBase, golden.size()), golden);
 }
 
 // (c control) With healthy flash the same pipeline lands the image in a
@@ -186,9 +184,9 @@ TEST(OtaResilience, HealthyUpdateActivatesStandbySlot) {
   ASSERT_TRUE(report.slot.has_value());
   EXPECT_EQ(*report.slot, Slot::kA);  // standby of golden-active is A
   EXPECT_EQ(store.active_slot(), Slot::kA);
-  auto boot = store.boot_image();
-  ASSERT_TRUE(boot.has_value());
-  EXPECT_EQ(*boot, image_bytes);
+  EXPECT_EQ(store.slot_fingerprint(Slot::kA), crc32_ieee(image_bytes));
+  EXPECT_EQ(flash.read(FirmwareStore::kSlotABase, image_bytes.size()),
+            image_bytes);
 }
 
 }  // namespace

@@ -5,22 +5,6 @@
 namespace tinysdr::ota {
 namespace {
 
-TEST(ListenSchedule, NextWindowArithmetic) {
-  ListenSchedule s;
-  s.interval = Seconds{600.0};
-  s.phase = Seconds{100.0};
-  EXPECT_DOUBLE_EQ(s.next_window(Seconds{0.0}).value(), 100.0);
-  EXPECT_DOUBLE_EQ(s.next_window(Seconds{100.0}).value(), 100.0);
-  EXPECT_DOUBLE_EQ(s.next_window(Seconds{100.1}).value(), 700.0);
-  EXPECT_DOUBLE_EQ(s.next_window(Seconds{699.0}).value(), 700.0);
-}
-
-TEST(ListenSchedule, RejectsBadInterval) {
-  ListenSchedule s;
-  s.interval = Seconds{0.0};
-  EXPECT_THROW((void)s.next_window(Seconds{1.0}), std::invalid_argument);
-}
-
 TEST(ListenSchedule, DutyFraction) {
   ListenSchedule s;
   s.interval = Seconds{600.0};
@@ -49,24 +33,7 @@ TEST(IdleListenPower, ShortIntervalsCostReal) {
 TEST(Rendezvous, WorstAndAverage) {
   ListenSchedule s;
   s.interval = Seconds{600.0};
-  EXPECT_DOUBLE_EQ(worst_case_rendezvous(s).value(), 600.0);
   EXPECT_DOUBLE_EQ(average_rendezvous(s).value(), 300.0);
-}
-
-TEST(FleetRendezvous, SortedWindowTimes) {
-  std::vector<ListenSchedule> fleet;
-  for (int i = 0; i < 10; ++i) {
-    ListenSchedule s;
-    s.interval = Seconds{600.0};
-    s.phase = Seconds{static_cast<double>((i * 331) % 600)};
-    fleet.push_back(s);
-  }
-  auto times = plan_fleet_rendezvous(fleet);
-  ASSERT_EQ(times.size(), 10u);
-  for (std::size_t i = 1; i < times.size(); ++i)
-    EXPECT_LE(times[i - 1].value(), times[i].value());
-  // All within one interval.
-  EXPECT_LE(times.back().value(), 600.0);
 }
 
 }  // namespace

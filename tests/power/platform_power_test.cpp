@@ -34,6 +34,25 @@ TEST(PlatformPower, Fig9FlatBelowKnee) {
   EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(PlatformPower, RadioRxDrawMatchesMeasurement) {
+  // Table 2 lists 50 mW RX; §5.2 measures 59 mW with the LVDS I/Q
+  // interface streaming, which is the mode the model represents.
+  PlatformPowerModel model;
+  EXPECT_NEAR(model.radio_rx_draw().value(), 59.0, 1e-9);
+}
+
+TEST(PlatformPower, RadioTxDrawIsMonotone) {
+  PlatformPowerModel model;
+  for (auto band : {radio::Band::kSubGhz900, radio::Band::kIsm2400}) {
+    double prev = 0.0;
+    for (double p = -14.0; p <= 14.0; p += 2.0) {
+      double draw = model.radio_tx_draw(band, Dbm{p}).value();
+      EXPECT_GE(draw, prev) << p << " dBm";
+      prev = draw;
+    }
+  }
+}
+
 TEST(PlatformPower, Fig9BothBandsWithinFewMilliwatts) {
   PlatformPowerModel model;
   for (double p : {-10.0, 0.0, 8.0, 14.0}) {

@@ -72,42 +72,6 @@ TEST(At86rf215, TransitionTimeAccrues) {
   EXPECT_GT(radio.transition_time().value(), 0.0012);
 }
 
-TEST(At86rf215, SleepPowerIsMicrowatts) {
-  At86rf215 radio;
-  EXPECT_LT(radio.dc_power().microwatts(), 1.0);
-}
-
-TEST(At86rf215, RxPowerMatchesMeasurement) {
-  At86rf215 radio;
-  radio.wake();
-  radio.enter_rx();
-  EXPECT_NEAR(radio.dc_power().value(), 59.0, 1e-9);  // §5.2
-}
-
-TEST(At86rf215, TxPowerCurveIsMonotone) {
-  At86rf215 radio;
-  radio.wake();
-  radio.enter_tx();
-  double prev = 0.0;
-  for (double p = -14.0; p <= 14.0; p += 2.0) {
-    radio.set_tx_power(Dbm{p});
-    double draw = radio.dc_power().value();
-    EXPECT_GE(draw, prev);
-    prev = draw;
-  }
-}
-
-TEST(At86rf215, TxFlatBelowKnee) {
-  // Paper Fig. 9: "DC power is constant at low RF power".
-  At86rf215 radio;
-  radio.wake();
-  radio.enter_tx();
-  radio.set_tx_power(Dbm{-14.0});
-  double low = radio.dc_power().value();
-  radio.set_tx_power(Dbm{-2.0});
-  EXPECT_DOUBLE_EQ(radio.dc_power().value(), low);
-}
-
 TEST(At86rf215, TransmitRequiresTxState) {
   At86rf215 radio;
   radio.wake();

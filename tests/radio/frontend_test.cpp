@@ -12,57 +12,6 @@ TEST(FrontendSpecs, PaperLimits) {
   EXPECT_DOUBLE_EQ(sky66112_spec().bypass_current_ua, 280.0);
 }
 
-TEST(Frontend, BypassPassesSignalUnchanged) {
-  Frontend fe{se2435l_spec()};
-  fe.set_mode(FrontendMode::kBypass);
-  EXPECT_NEAR(fe.output_power(Dbm{10.0}).value(), 10.0, 1e-9);
-}
-
-TEST(Frontend, PaAmplifiesUpToSaturation) {
-  Frontend fe{se2435l_spec()};
-  fe.set_mode(FrontendMode::kTransmit);
-  // 14 dBm radio output + 16 dB gain = 30 dBm = max.
-  EXPECT_NEAR(fe.output_power(Dbm{14.0}).value(), 30.0, 1e-9);
-  // Beyond saturation it clips at the rated maximum.
-  EXPECT_NEAR(fe.output_power(Dbm{20.0}).value(), 30.0, 1e-9);
-}
-
-TEST(Frontend, LnaGainOnlyInReceiveMode) {
-  Frontend fe{sky66112_spec()};
-  fe.set_mode(FrontendMode::kReceive);
-  EXPECT_GT(fe.receive_gain_db(), 0.0);
-  fe.set_mode(FrontendMode::kBypass);
-  EXPECT_DOUBLE_EQ(fe.receive_gain_db(), 0.0);
-  fe.set_mode(FrontendMode::kTransmit);
-  EXPECT_THROW(fe.receive_gain_db(), std::logic_error);
-}
-
-TEST(Frontend, SleepModeRejectsSignal) {
-  Frontend fe{se2435l_spec()};
-  EXPECT_THROW(fe.output_power(Dbm{0.0}), std::logic_error);
-}
-
-TEST(Frontend, SleepPowerIsMicrowatts) {
-  Frontend fe{se2435l_spec()};
-  fe.set_mode(FrontendMode::kSleep);
-  EXPECT_LT(fe.dc_power().microwatts(), 5.0);
-}
-
-TEST(Frontend, BypassPowerBelowMilliwatt) {
-  Frontend fe{se2435l_spec()};
-  fe.set_mode(FrontendMode::kBypass);
-  EXPECT_LT(fe.dc_power().value(), 1.0);  // 280 uA * 3.5 V = 0.98 mW
-  EXPECT_GT(fe.dc_power().microwatts(), 100.0);
-}
-
-TEST(Frontend, TransmitPowerScalesWithOutput) {
-  Frontend fe{se2435l_spec()};
-  fe.set_mode(FrontendMode::kTransmit);
-  double at20 = fe.dc_power(Dbm{20.0}).value();
-  double at30 = fe.dc_power(Dbm{30.0}).value();
-  EXPECT_GT(at30, at20 * 2.0);  // 10 dB more RF is 10x the RF power
-}
-
 TEST(RfSwitch, PathSelection) {
   RfSwitch sw;
   EXPECT_EQ(sw.selected(), RfPath::kIqRadio900);

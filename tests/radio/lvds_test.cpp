@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-
 namespace tinysdr::radio {
 namespace {
 
@@ -16,85 +14,6 @@ TEST(Sample13, EncodeDecodeRoundTrip) {
 TEST(Sample13, RejectsOutOfRange) {
   EXPECT_THROW(encode_sample13(4096), std::out_of_range);
   EXPECT_THROW(encode_sample13(-4097), std::out_of_range);
-}
-
-TEST(LvdsSerializer, WordIs32Bits) {
-  LvdsSerializer ser;
-  ser.push(IqWord{100, -200, false, true});
-  EXPECT_EQ(ser.bits().size(), 32u);
-  EXPECT_EQ(ser.word_count(), 1u);
-}
-
-TEST(LvdsSerializer, SyncPatternsAtFieldBoundaries) {
-  LvdsSerializer ser;
-  ser.push(IqWord{0, 0, false, false});
-  const auto& bits = ser.bits();
-  // I_SYNC = 10 at bits 0..1; Q_SYNC = 01 at bits 16..17.
-  EXPECT_TRUE(bits[0]);
-  EXPECT_FALSE(bits[1]);
-  EXPECT_FALSE(bits[16]);
-  EXPECT_TRUE(bits[17]);
-}
-
-TEST(LvdsRoundTrip, PreservesSamplesAndControlBits) {
-  LvdsSerializer ser;
-  ser.push(IqWord{1234, -987, true, false});
-  ser.push(IqWord{-4096, 4095, false, true});
-  LvdsDeserializer des;
-  des.feed(ser.bits());
-  auto words = des.take_words();
-  ASSERT_EQ(words.size(), 2u);
-  EXPECT_EQ(words[0].i, 1234);
-  EXPECT_EQ(words[0].q, -987);
-  EXPECT_TRUE(words[0].i_ctrl);
-  EXPECT_FALSE(words[0].q_ctrl);
-  EXPECT_EQ(words[1].i, -4096);
-  EXPECT_EQ(words[1].q, 4095);
-  EXPECT_TRUE(words[1].q_ctrl);
-}
-
-TEST(LvdsDeserializer, ResyncsAfterPartialWord) {
-  // Simulate joining the stream mid-word: drop the first 11 bits.
-  LvdsSerializer ser;
-  Rng rng{3};
-  std::vector<IqQuantizer::CodePair> codes;
-  for (int i = 0; i < 20; ++i)
-    codes.push_back({static_cast<std::int32_t>(rng.next_below(8191)) - 4095,
-                     static_cast<std::int32_t>(rng.next_below(8191)) - 4095});
-  ser.push_samples(codes);
-
-  std::vector<bool> bits(ser.bits().begin() + 11, ser.bits().end());
-  LvdsDeserializer des;
-  des.feed(bits);
-  auto words = des.take_words();
-  // First word lost; the hunt may consume a couple more before locking.
-  ASSERT_GE(words.size(), 17u);
-  // The recovered tail must match the original tail exactly.
-  std::size_t skipped = codes.size() - words.size();
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    EXPECT_EQ(words[i].i, codes[skipped + i].i);
-    EXPECT_EQ(words[i].q, codes[skipped + i].q);
-  }
-  EXPECT_GT(des.slipped_bits(), 0u);
-}
-
-TEST(LvdsRoundTrip, BulkRandomSamples) {
-  Rng rng{17};
-  std::vector<IqQuantizer::CodePair> codes;
-  for (int i = 0; i < 500; ++i)
-    codes.push_back({static_cast<std::int32_t>(rng.next_below(8192)) - 4096,
-                     static_cast<std::int32_t>(rng.next_below(8192)) - 4096});
-  auto words = lvds_roundtrip(codes);
-  ASSERT_EQ(words.size(), codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    EXPECT_EQ(words[i].i, codes[i].i);
-    EXPECT_EQ(words[i].q, codes[i].q);
-  }
-}
-
-TEST(LvdsThroughput, MatchesPaperNumbers) {
-  // 4 Mwords/s * 32 bits = 128 Mbps over the 64 MHz DDR clock.
-  EXPECT_DOUBLE_EQ(LvdsSerializer::throughput_bps(4e6), 128e6);
 }
 
 }  // namespace

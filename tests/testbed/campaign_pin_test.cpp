@@ -18,13 +18,22 @@
 namespace tinysdr::testbed {
 namespace {
 
+const char* slot_name(ota::Slot slot) {
+  switch (slot) {
+    case ota::Slot::kA: return "A";
+    case ota::Slot::kB: return "B";
+    case ota::Slot::kGolden: return "golden";
+  }
+  return "?";
+}
+
 std::string pin(const ota::UpdateReport& r) {
   char buf[192];
   std::snprintf(buf, sizeof buf, "%d %s %a %a %zu %zu %s", r.success ? 1 : 0,
                 ota::to_string(r.failure), r.total_time.value(),
                 r.total_energy.value(), r.compressed_bytes,
                 r.transfer.retransmissions,
-                r.slot ? ota::to_string(*r.slot) : "-");
+                r.slot ? slot_name(*r.slot) : "-");
   return buf;
 }
 

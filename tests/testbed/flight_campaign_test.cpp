@@ -119,7 +119,9 @@ TEST(FlightCampaign, SerialAndParallelFlightLogsAreByteIdentical) {
         run_fault_campaign(deployment, image, ota::UpdateTarget::kMcu,
                            {brownout_scenario()}, rng, policy);
     EXPECT_EQ(result.scenarios[0].nodes, 8u);
-    return flight.json("identity check");
+    std::ostringstream out;
+    flight.write_json(out, "identity check");
+    return out.str();
   };
 
   std::string serial = run_with(exec::ExecPolicy::serial());

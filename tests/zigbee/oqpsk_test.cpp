@@ -23,6 +23,14 @@ TEST(ChipTable, Symbol0IsStandardBaseSequence) {
   EXPECT_EQ(chip_table()[0], 0x744AC39Bu);
 }
 
+/// Pack chips as nearest_symbol_word expects them (bit i = chip i).
+std::uint32_t chip_word(const std::array<bool, kChipsPerSymbol>& chips) {
+  std::uint32_t word = 0;
+  for (std::size_t i = 0; i < kChipsPerSymbol; ++i)
+    word |= static_cast<std::uint32_t>(chips[i] ? 1u : 0u) << i;
+  return word;
+}
+
 TEST(ChipTable, QuasiOrthogonalDistances) {
   // The standard family's pairwise Hamming distances are large (>= 12),
   // which is what gives the DSSS processing gain.
@@ -37,7 +45,7 @@ TEST(ChipTable, QuasiOrthogonalDistances) {
 TEST(ChipTable, ChipsForRoundTrip) {
   for (std::uint8_t s = 0; s < 16; ++s) {
     auto chips = chips_for(s);
-    auto [decided, dist] = nearest_symbol(chips);
+    auto [decided, dist] = nearest_symbol_word(chip_word(chips));
     EXPECT_EQ(decided, s);
     EXPECT_EQ(dist, 0);
   }
@@ -53,7 +61,7 @@ TEST(ChipTable, SingleChipErrorsCorrected) {
     for (int e = 0; e < 5; ++e)
       chips[rng.next_below(kChipsPerSymbol)] ^= true;
     // (duplicate flips can cancel; decision must still be correct)
-    EXPECT_EQ(nearest_symbol(chips).first, s);
+    EXPECT_EQ(nearest_symbol_word(chip_word(chips)).first, s);
   }
 }
 
