@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
 
   // Batch/stream differential: the same full chain and the same two
   // interferer slots (a concurrent BLE transmitter and a reactive jammer)
-  // through run_point() and the streaming flowgraph (gaps + odd ring) must
-  // agree bit for bit.
+  // through run_point() and the streaming flowgraph (gaps + odd ring),
+  // under both schedulers, must agree bit for bit.
   bool batch_stream_identical = true;
   {
     const auto& entry = phy::Registry::builtin().at(phy::Protocol::kZigbee);
@@ -150,8 +150,11 @@ int main(int argc, char** argv) {
     stream.add_impairment(clip, impair::Stage::kTx);
     stream.add_impairment(cfo, impair::Stage::kRx);
     stream.add_impairment(pn, impair::Stage::kRx);
-    auto got = stream.run(point);
-    batch_stream_identical = got.report.drained() && got.point == expected;
+    for (bool threaded : {false, true}) {
+      auto got = stream.run(point, threaded);
+      batch_stream_identical &=
+          got.report.drained() && got.point == expected;
+    }
   }
   run.scalar("batch_stream_identical", batch_stream_identical ? 1.0 : 0.0);
   run.scalar("zero_chain_identical", all_zero_chain_identical ? 1.0 : 0.0);

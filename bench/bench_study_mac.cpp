@@ -4,8 +4,11 @@
 //   [2] Multi-hop PHY/MAC: when does relaying beat a slow direct link?
 //   [3] OTA rendezvous: listen-interval trade-off (idle power vs latency).
 //   [4] Front-end impairment budget: demodulator SER vs DC/IQ/CFO errors.
+#include <cmath>
+
 #include "bench_common.hpp"
 #include "channel/noise.hpp"
+#include "impair/impair.hpp"
 #include "lora/demodulator.hpp"
 #include "lora/modulator.hpp"
 #include "ota/protocol.hpp"
@@ -110,7 +113,17 @@ int main(int argc, char** argv) {
   // ----------------------------------------------------- [4] impairments
   std::cout << "\n[4] Front-end impairment budget (SF8/BW125 SER at "
                "-122 dBm, calibrated NF):\n";
-  auto ser_with = [&](radio::RxImpairments imp) {
+  // The front-end defects are impair:: blocks applied in the order IQ
+  // imbalance, DC offset, CFO to the noisy capture, ahead of the
+  // AT86RF215's AGC and ADC. The DC leak is a fraction of the capture's
+  // RMS and lands on both rails; the CFO is in Hz.
+  struct FrontEnd {
+    double dc_fraction = 0.0;
+    double iq_gain_db = 0.0;
+    double iq_phase_deg = 0.0;
+    double cfo_hz = 0.0;
+  };
+  auto ser_with = [&](const FrontEnd& fe) {
     lora::LoraParams cfg{8, Hertz::from_kilohertz(125.0)};
     lora::ChirpGenerator gen{cfg, cfg.bandwidth};
     radio::At86rf215Config rcfg;
@@ -118,7 +131,6 @@ int main(int argc, char** argv) {
     radio::At86rf215 rx_radio{rcfg};
     rx_radio.wake();
     rx_radio.enter_rx();
-    rx_radio.set_rx_impairments(imp);
 
     Rng rng{31};
     const std::size_t count = 300;
@@ -132,6 +144,15 @@ int main(int argc, char** argv) {
     }
     channel::AwgnChannel chan{cfg.bandwidth, phy::kLoraSystemNf, rng};
     auto noisy = chan.apply(wave, Dbm{-122.0});
+    const auto dc = static_cast<float>(
+        fe.dc_fraction * std::sqrt(dsp::mean_power(noisy)));
+    const impair::IqImbalance iq{fe.iq_gain_db, fe.iq_phase_deg};
+    const impair::DcOffset leak{{dc, dc}};
+    const impair::CfoDrift cfo{fe.cfo_hz / cfg.bandwidth.value()};
+    impair::apply_stage({{&iq, impair::Stage::kRx},
+                         {&leak, impair::Stage::kRx},
+                         {&cfo, impair::Stage::kRx}},
+                        impair::Stage::kRx, noisy, 0, 0);
     auto through = rx_radio.receive(noisy);
     lora::Demodulator demod{cfg, cfg.bandwidth};
     auto rx = demod.demodulate_aligned(through, 0, count);
@@ -145,28 +166,21 @@ int main(int argc, char** argv) {
   TextTable table{{"Impairment", "SER (%)"}};
   auto impairment_row = [&](const std::string& label,
                             const std::string& scalar_name,
-                            radio::RxImpairments imp) {
-    double ser = ser_with(imp);
+                            const FrontEnd& fe) {
+    double ser = ser_with(fe);
     table.add_row({label, TextTable::num(ser, 2)});
     run.scalar(scalar_name, ser);
   };
   impairment_row("none", "ser_clean_pct", {});
-  radio::RxImpairments dc;
-  dc.dc_offset = 0.1;
-  impairment_row("DC offset -20 dB", "ser_dc_offset_pct", dc);
-  radio::RxImpairments iq;
-  iq.iq_gain_imbalance_db = 1.0;
-  iq.iq_phase_skew_deg = 5.0;
-  impairment_row("IQ 1 dB / 5 deg", "ser_iq_imbalance_pct", iq);
-  radio::RxImpairments cfo;
-  cfo.cfo_hz = 200.0;
-  impairment_row("CFO 200 Hz", "ser_cfo_pct", cfo);
-  radio::RxImpairments all;
-  all.dc_offset = 0.1;
-  all.iq_gain_imbalance_db = 1.0;
-  all.iq_phase_skew_deg = 5.0;
-  all.cfo_hz = 200.0;
-  impairment_row("all of the above", "ser_all_pct", all);
+  impairment_row("DC offset -20 dB", "ser_dc_offset_pct", {.dc_fraction = 0.1});
+  impairment_row("IQ 1 dB / 5 deg", "ser_iq_imbalance_pct",
+                 {.iq_gain_db = 1.0, .iq_phase_deg = 5.0});
+  impairment_row("CFO 200 Hz", "ser_cfo_pct", {.cfo_hz = 200.0});
+  impairment_row("all of the above", "ser_all_pct",
+                 {.dc_fraction = 0.1,
+                  .iq_gain_db = 1.0,
+                  .iq_phase_deg = 5.0,
+                  .cfo_hz = 200.0});
   table.print(std::cout);
   std::cout << "  Reading: DC offset and IQ imbalance are immaterial to "
                "CSS (part of why a $5.5 radio chip reaches LoRa-chipset "

@@ -127,66 +127,6 @@ WorkResult AwgnStreamBlock::work(const ReadView& in, WriteView& out) {
   return {n, n};
 }
 
-ImpairStreamBlock::ImpairStreamBlock(const FrameSchedule* schedule,
-                                     const impair::Chain& chain,
-                                     impair::Stage stage)
-    : Block("impair_" + std::string(impair::stage_name(stage))),
-      schedule_(schedule),
-      stage_(stage) {
-  for (std::size_t k = 0; k < chain.size(); ++k)
-    if (chain[k].stage == stage) slots_.push_back({chain[k].impairment, k});
-}
-
-WorkResult ImpairStreamBlock::work(const ReadView& in, WriteView& out) {
-  const std::size_t n = std::min(in.size(), out.size());
-  const std::uint64_t base = in.stream_pos();
-  std::size_t i = 0;
-  while (i < n) {
-    const std::uint64_t pos = base + i;
-    const FrameEntry* e = schedule_->at(cursor_);
-    while (e != nullptr && pos >= e->start + e->length) {
-      ++cursor_;
-      region_active_ = false;
-      e = schedule_->at(cursor_);
-    }
-    std::size_t run;
-    if (e == nullptr || pos < e->start || slots_.empty()) {
-      // Gap silence (or a stage with no slots): passthrough, like the
-      // batch engine which never touches inter-trial silence.
-      std::uint64_t limit =
-          e == nullptr ? std::uint64_t(n - i) : e->start - pos;
-      run = static_cast<std::size_t>(std::min<std::uint64_t>(n - i, limit));
-      copy_samples(in, i, out, i, run);
-    } else {
-      if (!region_active_) {
-        // Fresh per-slot state at region entry: same seeds run_point uses
-        // (trial seed, kImpairStreamBase + global chain index).
-        states_.clear();
-        for (const Slot& s : slots_)
-          states_.push_back(impair::ImpairState{
-              Rng{e->trial_seed,
-                  phy::LinkSimulator::kImpairStreamBase + s.chain_index}});
-        region_active_ = true;
-      }
-      run = static_cast<std::size_t>(
-          std::min<std::uint64_t>(n - i, e->start + e->length - pos));
-      copy_samples(in, i, out, i, run);
-      std::size_t done = 0;
-      while (done < run) {
-        auto seg = out.chunk(i + done, run - done);
-        // Slots compose in chain order per segment; each block's
-        // chunk-independence makes this equal to whole-region application.
-        for (std::size_t k = 0; k < slots_.size(); ++k)
-          slots_[k].impairment->apply(seg, states_[k]);
-        done += seg.size();
-      }
-      samples_processed_ += run;
-    }
-    i += run;
-  }
-  return {n, n};
-}
-
 WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
   const std::size_t n = in.size();
   const std::uint64_t base = in.stream_pos();
@@ -197,8 +137,8 @@ WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
   // before any of its region is committed.
   while (const FrameEntry* e = schedule_->at(cursor_)) {
     if (region_.size() == e->length) {  // zero-length regions need no samples
-      result_.add(rx_->demodulate(region_, e->payload));
-      ++frames_sliced_;
+      result_.add(sim_->receive(region_, e->payload, e->trial_seed));
+      samples_sliced_ += region_.size();
       region_.clear();
       ++cursor_;
       continue;
@@ -229,28 +169,12 @@ StreamResult StreamingLink::run(const phy::SweepPoint& point,
                                 bool threaded) const {
   FrameSchedule schedule;
   FlowGraph graph;
-  auto stage_block = [&](impair::Stage stage) -> ImpairStreamBlock* {
-    const impair::Chain& chain = sim_.impairments();
-    if (std::none_of(chain.begin(), chain.end(),
-                     [&](const auto& slot) { return slot.stage == stage; }))
-      return nullptr;
-    return graph.add_block<ImpairStreamBlock>(&schedule, chain, stage);
-  };
-
   auto* src =
       graph.add_block<FrameStreamSource>(sim_, plan_, point, &schedule);
-  ImpairStreamBlock* tx_imp = stage_block(impair::Stage::kTx);
   auto* awgn = graph.add_block<AwgnStreamBlock>(&schedule, sim_, point.rssi);
-  ImpairStreamBlock* rx_imp = stage_block(impair::Stage::kRx);
-  auto* sink = graph.add_block<FrameSlicerSink>(sim_.rx(), &schedule);
-
-  std::vector<Block*> path{src};
-  if (tx_imp != nullptr) path.push_back(tx_imp);
-  path.push_back(awgn);
-  if (rx_imp != nullptr) path.push_back(rx_imp);
-  path.push_back(sink);
-  for (std::size_t i = 1; i < path.size(); ++i)
-    graph.connect(path[i - 1], path[i], plan_.ring_capacity);
+  auto* sink = graph.add_block<FrameSlicerSink>(sim_, &schedule);
+  graph.connect(src, awgn, plan_.ring_capacity);
+  graph.connect(awgn, sink, plan_.ring_capacity);
 
   StreamResult result;
   result.report = threaded ? graph.run_threaded() : graph.run();
@@ -263,8 +187,7 @@ StreamResult StreamingLink::run(const phy::SweepPoint& point,
     m->counter("flow.stream.samples")
         .add(static_cast<double>(result.report.samples_streamed));
   }
-  sim_.count_impaired(tx_imp != nullptr ? tx_imp->samples_processed() : 0,
-                      rx_imp != nullptr ? rx_imp->samples_processed() : 0);
+  sim_.count_impaired(sink->samples_sliced());
   return result;
 }
 

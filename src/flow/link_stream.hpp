@@ -6,21 +6,22 @@
 // back-to-back through a live channel. StreamingLink runs the same
 // experiment as one continuous sample stream:
 //
-//   FrameStreamSource -> [TX impair] -> AwgnStreamBlock -> [RX impair]
-//                     -> FrameSlicerSink
+//   FrameStreamSource -> AwgnStreamBlock -> FrameSlicerSink
 //
 // The source runs LinkSimulator::transmit() frame after frame (pad +
-// waveform + pad with the interferers mixed in, then an inter-frame gap
-// of silence) and publishes a FrameSchedule entry per frame; the channel
-// blocks look the schedule up by absolute stream position
-// (ReadView::stream_pos) to know which trial's RNG drives each sample;
-// the slicer reassembles each frame region and demodulates it.
+// waveform + pad with the interferers mixed in and the TX impairment stage
+// applied, then an inter-frame gap of silence) and publishes a
+// FrameSchedule entry per frame; the channel block looks the schedule up
+// by absolute stream position (ReadView::stream_pos) to know which trial's
+// RNG drives each sample; the slicer reassembles each frame region and
+// hands it to LinkSimulator::receive() (RX impairment stage + demod).
 //
-// Determinism contract: the transmit side and the channel come from the
-// held LinkSimulator off the same (point, trial) seeds, and every float
-// lands in the same accumulation order, so the aggregated PointResult is
-// byte-identical to LinkSimulator::run_point() for the same plan and
-// point — pinned by tests, and equally true for run() and run_threaded().
+// Determinism contract: the transmit side, the channel and the receive
+// side come from the held LinkSimulator off the same (point, trial) seeds,
+// and every float lands in the same accumulation order, so the aggregated
+// PointResult is byte-identical to LinkSimulator::run_point() for the same
+// plan and point — pinned by tests, and equally true for run() and
+// run_threaded().
 #pragma once
 
 #include <cstdint>
@@ -119,60 +120,29 @@ class AwgnStreamBlock : public Block {
   std::optional<channel::AwgnChannel> channel_;  ///< current region's RNG
 };
 
-/// The impairment chain as a schedule-aware stream block: applies every
-/// slot of one stage, in chain order, to each frame region (gaps pass
-/// through untouched). Per-slot ImpairState is re-seeded at region entry
-/// from the entry's trial seed and the slot's *global* chain index —
-/// exactly LinkSimulator's Rng{tseed, kImpairStreamBase + k} — and carried
-/// across chunks, so the output is byte-identical to the batch engine for
-/// any ring size and either scheduler.
-class ImpairStreamBlock : public Block {
- public:
-  ImpairStreamBlock(const FrameSchedule* schedule, const impair::Chain& chain,
-                    impair::Stage stage);
-
-  WorkResult work(const ReadView& in, WriteView& out) override;
-
-  /// Total region samples this stage processed (same count for every slot
-  /// in the stage — each slot sees the whole region).
-  [[nodiscard]] std::uint64_t samples_processed() const {
-    return samples_processed_;
-  }
-
- private:
-  struct Slot {
-    const impair::Impairment* impairment;
-    std::size_t chain_index;  ///< index in the full chain (RNG stream)
-  };
-
-  const FrameSchedule* schedule_;
-  impair::Stage stage_;
-  std::vector<Slot> slots_;
-  std::size_t cursor_ = 0;
-  std::vector<impair::ImpairState> states_;  ///< parallel to slots_
-  bool region_active_ = false;
-  std::uint64_t samples_processed_ = 0;
-};
-
-/// Sink: reassembles each frame region from the stream, demodulates it
-/// against the entry's payload, and aggregates the PointResult.
+/// Sink: reassembles each frame region from the stream into its own
+/// buffer, runs the simulator's receive side on it against the entry's
+/// payload and trial seed, and aggregates the PointResult.
 class FrameSlicerSink : public Block {
  public:
-  FrameSlicerSink(const phy::PhyRx& rx, const FrameSchedule* schedule)
-      : Block("frame_slicer"), rx_(&rx), schedule_(schedule) {}
+  FrameSlicerSink(const phy::LinkSimulator& sim, const FrameSchedule* schedule)
+      : Block("frame_slicer"), sim_(&sim), schedule_(schedule) {}
 
   WorkResult work(const ReadView& in, WriteView& out) override;
 
   [[nodiscard]] const phy::PointResult& result() const { return result_; }
-  [[nodiscard]] std::size_t frames_sliced() const { return frames_sliced_; }
+  /// Total length of the regions sliced so far.
+  [[nodiscard]] std::uint64_t samples_sliced() const {
+    return samples_sliced_;
+  }
 
  private:
-  const phy::PhyRx* rx_;
+  const phy::LinkSimulator* sim_;
   const FrameSchedule* schedule_;
   std::size_t cursor_ = 0;
   dsp::Samples region_;
   phy::PointResult result_;
-  std::size_t frames_sliced_ = 0;
+  std::uint64_t samples_sliced_ = 0;
 };
 
 /// What a continuous run produced: the aggregated link stats (byte-equal
@@ -195,15 +165,11 @@ class StreamingLink {
     sim_.add_interferer(source, power);
   }
 
-  /// LinkSimulator::add_impairment on the held simulator: same chain
-  /// order, stage placement and RNG streams, so run() stays byte-identical
-  /// to run_point() with the same chain.
+  /// LinkSimulator::add_impairment on the held simulator: transmit() and
+  /// receive() apply the chain, so run() stays byte-identical to
+  /// run_point() with the same chain.
   void add_impairment(const impair::Impairment& block, impair::Stage stage) {
     sim_.add_impairment(block, stage);
-  }
-
-  [[nodiscard]] const impair::Chain& impairments() const {
-    return sim_.impairments();
   }
 
   [[nodiscard]] const StreamPlan& plan() const { return plan_; }

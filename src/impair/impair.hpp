@@ -5,20 +5,19 @@
 // conversion front end — suffers IQ gain/phase imbalance, LO leakage (DC
 // offset), crystal-driven CFO with temperature drift, LO phase noise, and
 // PA compression. Each defect is modelled as a composable, seeded block
-// over a span of baseband samples, usable in two places with byte-identical
-// results:
-//
-//   - batch: phy::LinkSimulator's ordered impairment chain, applied per
-//     trial between the interferer mix and the AWGN channel (TX stage) or
-//     after it (RX stage);
-//   - streaming: flow::ImpairStreamBlock in flow::StreamingLink, applying
-//     the same chain chunk-by-chunk in ring memory.
+// over a span of baseband samples. phy::LinkSimulator holds the ordered
+// impairment chain: transmit() applies the TX stage per trial between the
+// interferer mix and the AWGN channel, receive() the RX stage after it, and
+// flow::StreamingLink runs trials through those same two calls. The radio
+// models carry no impairment code of their own: a caller that wants a
+// defective front end (the AT86RF215 impairment budget, the CAD tolerance
+// tests) applies these blocks to the waveform before At86rf215::receive.
 //
 // Determinism contract: apply() must be *chunk-independent* — processing
 // [0, N) in one call is byte-identical to processing any consecutive
 // sub-ranges with the same ImpairState carried across calls. All
 // randomness comes from the state's Rng (seeded per (trial, chain slot) by
-// the engines via exec::stream_seed), all positional terms from the
+// LinkSimulator via exec::stream_seed), all positional terms from the
 // state's running sample counter. A block at zero magnitude is a
 // byte-identical passthrough that consumes no randomness, so an "off"
 // impairment can never perturb a calibrated curve.
@@ -181,9 +180,8 @@ struct ChainSlot {
 using Chain = std::vector<ChainSlot>;
 
 /// Apply every `stage` slot of `chain` in order to `x`, each with a fresh
-/// state seeded Rng{trial_seed, stream_base + slot_index}. The batch
-/// engine's inner loop; streaming blocks carry states across chunks
-/// instead and reproduce this byte-for-byte.
+/// state seeded Rng{trial_seed, stream_base + slot_index}. The trial
+/// kernel's TX and RX stages.
 void apply_stage(const Chain& chain, Stage stage, std::span<dsp::Complex> x,
                  std::uint64_t trial_seed, std::uint64_t stream_base);
 

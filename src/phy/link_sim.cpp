@@ -75,6 +75,16 @@ void LinkSimulator::transmit(const SweepPoint& point, std::uint64_t trial_seed,
       channel::superpose(
           buf.wave, buf.emissions[k],
           interferers_[k].power_at(point)->value() - point.rssi.value());
+  impair::apply_stage(impairments_, impair::Stage::kTx, buf.wave, trial_seed,
+                      kImpairStreamBase);
+}
+
+FrameResult LinkSimulator::receive(std::span<dsp::Complex> capture,
+                                   std::span<const std::uint8_t> payload,
+                                   std::uint64_t trial_seed) const {
+  impair::apply_stage(impairments_, impair::Stage::kRx, capture, trial_seed,
+                      kImpairStreamBase);
+  return rx_->demodulate(capture, payload);
 }
 
 channel::AwgnChannel LinkSimulator::channel(std::uint64_t trial_seed) const {
@@ -82,16 +92,14 @@ channel::AwgnChannel LinkSimulator::channel(std::uint64_t trial_seed) const {
           plan_.noise_figure_db, Rng{trial_seed, kChannelStream}};
 }
 
-void LinkSimulator::count_impaired(std::uint64_t tx_samples,
-                                   std::uint64_t rx_samples) const {
+void LinkSimulator::count_impaired(std::uint64_t samples) const {
   obs::Registry* registry = obs::metrics();
   if (registry == nullptr) return;
   for (const auto& slot : impairments_)
     registry
         ->counter("impair." + std::string(impair::stage_name(slot.stage)) +
                   "." + std::string(slot.impairment->name()) + ".samples")
-        .add(static_cast<double>(
-            slot.stage == impair::Stage::kTx ? tx_samples : rx_samples));
+        .add(static_cast<double>(samples));
 }
 
 PointResult LinkSimulator::run_point(const SweepPoint& point) const {
@@ -115,22 +123,18 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
   for (std::size_t t = 0; t < plan_.trials; ++t) {
     const std::uint64_t tseed = exec::stream_seed(pseed, t);
     transmit(point, tseed, buf);
-    impair::apply_stage(impairments_, impair::Stage::kTx, buf.wave, tseed,
-                        kImpairStreamBase);
     channel::AwgnChannel noise = channel(tseed);
     noise.add_noise(buf.wave, noise.snr_db(point.rssi));
-    impair::apply_stage(impairments_, impair::Stage::kRx, buf.wave, tseed,
-                        kImpairStreamBase);
     samples += buf.wave.size();
 
     if (demod_us != nullptr) {
       auto start = std::chrono::steady_clock::now();
-      acc.add(rx_->demodulate(buf.wave, buf.payload));
+      acc.add(receive(buf.wave, buf.payload, tseed));
       auto end = std::chrono::steady_clock::now();
       demod_us->observe(
           std::chrono::duration<double, std::micro>(end - start).count());
     } else {
-      acc.add(rx_->demodulate(buf.wave, buf.payload));
+      acc.add(receive(buf.wave, buf.payload, tseed));
     }
   }
 
@@ -144,7 +148,7 @@ PointResult LinkSimulator::run_point(const SweepPoint& point) const {
     registry->counter(prefix + ".symbol_errors")
         .add(static_cast<double>(acc.symbol_errors));
   }
-  count_impaired(samples, samples);
+  count_impaired(samples);
   return acc;
 }
 

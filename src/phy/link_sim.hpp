@@ -1,13 +1,14 @@
 // LinkSimulator: the one trial engine behind every PER/BER/SER curve.
 //
-// One seeded pipeline — random (or fixed) payload -> PhyTx waveform ->
-// superposition of any attached interferers/jammers -> AwgnChannel at the
-// sweep RSSI -> PhyRx -> FrameResult — aggregated per sweep point. The
-// figure benches (Fig. 10/11/12/15a/15b), the adversary jammer sweeps and
-// the testbed multi-PHY campaigns all run on it instead of hand-rolling
-// their own loops. flow::StreamingLink streams the same trials: it calls
-// transmit() and channel() and records through the same helpers, so the
-// two engines share one transmit side and one set of RNG streams.
+// One seeded pipeline — transmit() (random or fixed payload -> PhyTx
+// waveform -> superposition of any attached interferers/jammers -> TX
+// impairment stage) -> channel() (AwgnChannel at the sweep RSSI) ->
+// receive() (RX impairment stage -> PhyRx -> FrameResult) — aggregated per
+// sweep point. The figure benches (Fig. 10/11/12/15a/15b), the adversary
+// jammer sweeps and the testbed multi-PHY campaigns all run on it instead
+// of hand-rolling their own loops. flow::StreamingLink streams the same
+// trials through the same three calls, so the two engines share one
+// transmit side, one receive side and one set of RNG streams.
 //
 // Determinism contract (PR 3's rules): one base seed roots a sweep; a
 // point's seed is a pure function of (base, rssi value) — independent of
@@ -134,7 +135,7 @@ struct PointResult {
 /// trials so the steady state allocates nothing.
 struct TrialBuffers {
   std::vector<std::uint8_t> payload;
-  dsp::Samples wave;  ///< padded waveform, interferers mixed in
+  dsp::Samples wave;  ///< padded waveform, interferers mixed, TX stage
   std::vector<dsp::Samples> emissions;  ///< one per interferer slot
 };
 
@@ -159,11 +160,11 @@ class LinkSimulator {
   /// Append an impairment block to the ordered chain (borrowed; must
   /// outlive the simulator). TX-stage slots distort the combined waveform
   /// after the interferer mix and before the AWGN channel; RX-stage slots
-  /// land on the noisy capture before demodulation. Slot k draws from RNG
-  /// stream (trial seed, kImpairStreamBase + k) — k the slot's index in
-  /// the full chain — so results are independent of the sweep grid and
-  /// thread count, and flow::StreamingLink can replay them byte-for-byte.
-  /// An empty chain leaves every existing sweep byte-identical.
+  /// land on the noisy capture before demodulation. transmit() applies the
+  /// TX stage and receive() the RX stage. Slot k draws from RNG stream
+  /// (trial seed, kImpairStreamBase + k) — k the slot's index in the full
+  /// chain — so results are independent of the sweep grid and thread
+  /// count. An empty chain leaves every existing sweep byte-identical.
   void add_impairment(const impair::Impairment& block, impair::Stage stage);
 
   [[nodiscard]] const impair::Chain& impairments() const {
@@ -193,22 +194,29 @@ class LinkSimulator {
                                                 double rssi_dbm);
 
   /// A trial's transmit side: payload -> padded waveform -> interferer
-  /// mix, into `buf.wave`. Every active slot emits from the clean padded
-  /// waveform into `buf.emissions[k]` before any emission is mixed in, so
-  /// reactive models key off the victim alone; the emissions are then
-  /// added in slot order.
+  /// mix -> TX impairment stage, into `buf.wave`. Every active slot emits
+  /// from the clean padded waveform into `buf.emissions[k]` before any
+  /// emission is mixed in, so reactive models key off the victim alone;
+  /// the emissions are then added in slot order.
   void transmit(const SweepPoint& point, std::uint64_t trial_seed,
                 TrialBuffers& buf) const;
+
+  /// A trial's receive side: the RX impairment stage in place on
+  /// `capture` (one whole trial region, pads included), then the PhyRx
+  /// scored against the transmitted `payload`.
+  [[nodiscard]] FrameResult receive(std::span<dsp::Complex> capture,
+                                    std::span<const std::uint8_t> payload,
+                                    std::uint64_t trial_seed) const;
 
   /// The trial's AWGN channel: the plan's noise bandwidth and figure,
   /// drawing from (trial seed, kChannelStream).
   [[nodiscard]] channel::AwgnChannel channel(std::uint64_t trial_seed) const;
 
   /// Add impair.<stage>.<block>.samples once per chain slot, in chain
-  /// order, to the thread's metrics registry (if any): `tx_samples` and
-  /// `rx_samples` are the samples each stage processed over a point.
-  void count_impaired(std::uint64_t tx_samples,
-                      std::uint64_t rx_samples) const;
+  /// order, to the thread's metrics registry (if any): `samples` is the
+  /// total length of the trial regions run over a point (every slot of
+  /// either stage sees each whole region).
+  void count_impaired(std::uint64_t samples) const;
 
   /// Run the full trial loop at one point.
   [[nodiscard]] PointResult run_point(const SweepPoint& point) const;

@@ -127,35 +127,10 @@ dsp::Samples At86rf215::receive(const dsp::Samples& rf) const {
   if (state_ != RadioState::kRx)
     throw std::logic_error("At86rf215: receive while not in RX");
 
-  // Front-end impairments (direct-conversion artifacts) before the AGC.
-  dsp::Samples impaired = rf;
-  if (impairments_.any()) {
-    double rms = std::sqrt(std::max(dsp::mean_power(rf), 1e-30));
-    auto dc = static_cast<float>(impairments_.dc_offset * rms);
-    auto q_gain = static_cast<float>(
-        std::pow(10.0, impairments_.iq_gain_imbalance_db / 20.0));
-    double skew = impairments_.iq_phase_skew_deg * 3.14159265358979 / 180.0;
-    auto sin_skew = static_cast<float>(std::sin(skew));
-    auto cos_skew = static_cast<float>(std::cos(skew));
-    double cfo_cps = impairments_.cfo_hz / config_.sample_rate.value();
-    double phase = 0.0;
-    for (auto& s : impaired) {
-      // Quadrature error: Q picks up a fraction of I and a gain error.
-      float i = s.real();
-      float q = q_gain * (s.imag() * cos_skew + s.real() * sin_skew);
-      s = dsp::Complex{i + dc, q + dc};
-      if (cfo_cps != 0.0) {
-        s *= dsp::Complex{static_cast<float>(std::cos(phase)),
-                          static_cast<float>(std::sin(phase))};
-        phase += 2.0 * 3.14159265358979 * cfo_cps;
-      }
-    }
-  }
-
   // AGC: scale the block so its RMS sits at 1/4 full scale (12 dB backoff,
   // leaving headroom for the signal's crest factor), then quantize.
-  double power = dsp::mean_power(impaired);
-  dsp::Samples scaled = impaired;
+  double power = dsp::mean_power(rf);
+  dsp::Samples scaled = rf;
   if (power > 0.0) {
     auto gain = static_cast<float>(0.25 / std::sqrt(power));
     for (auto& s : scaled) s *= gain;

@@ -35,21 +35,6 @@ struct At86rf215Config {
   Dbm min_tx_power{-14.0};
 };
 
-/// Analog front-end impairments of a direct-conversion receiver. Defaults
-/// are the AT86RF215's typical (small) figures; the ablation bench sweeps
-/// them to show the demodulator's tolerance.
-struct RxImpairments {
-  double dc_offset = 0.0;           ///< DC leak, fraction of RMS signal
-  double iq_gain_imbalance_db = 0.0;///< Q-rail gain error
-  double iq_phase_skew_deg = 0.0;   ///< quadrature error
-  double cfo_hz = 0.0;              ///< residual LO offset
-
-  [[nodiscard]] bool any() const {
-    return dc_offset != 0.0 || iq_gain_imbalance_db != 0.0 ||
-           iq_phase_skew_deg != 0.0 || cfo_hz != 0.0;
-  }
-};
-
 class At86rf215 {
  public:
   explicit At86rf215(At86rf215Config config = {});
@@ -84,15 +69,11 @@ class At86rf215 {
   /// @throws std::logic_error unless in kTx.
   [[nodiscard]] dsp::Samples transmit(const dsp::Samples& baseband) const;
 
-  /// Receive path: antenna waveform -> front-end impairments -> AGC ->
-  /// ADC quantization.
+  /// Receive path: antenna waveform -> AGC -> ADC quantization, with the
+  /// AGC gain undone on the way out. Front-end defects (DC, IQ imbalance,
+  /// CFO) are impair:: blocks applied to the waveform before this call.
   /// @throws std::logic_error unless in kRx.
   [[nodiscard]] dsp::Samples receive(const dsp::Samples& rf) const;
-
-  void set_rx_impairments(RxImpairments imp) { impairments_ = imp; }
-  [[nodiscard]] const RxImpairments& rx_impairments() const {
-    return impairments_;
-  }
 
   [[nodiscard]] const TimingModel& timing() const { return timing_; }
 
@@ -100,7 +81,6 @@ class At86rf215 {
   At86rf215Config config_;
   TimingModel timing_;
   IqQuantizer quantizer_;
-  RxImpairments impairments_;
   RadioState state_ = RadioState::kSleep;
   Hertz frequency_ = Hertz::from_megahertz(915.0);
   Dbm tx_power_{0.0};

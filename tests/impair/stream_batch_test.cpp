@@ -1,12 +1,17 @@
 // Differential suite: the impairment chain must behave byte-identically
-// whether it runs batch-side inside LinkSimulator::run_point() or as
-// zero-copy ImpairStreamBlocks in the streaming flowgraph — across ring
-// sizes, with inter-frame gaps, under the threaded scheduler, and with an
-// interferer in the mix.
+// whether its trials run through LinkSimulator::run_point() or through the
+// streaming flowgraph, whose source and frame slicer call the same
+// LinkSimulator::transmit()/receive() — across ring sizes, with
+// inter-frame gaps, under the threaded scheduler, and with an interferer
+// in the mix. The impair.<stage>.<block>.samples counters must agree too.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "flow/link_stream.hpp"
 #include "impair/impair.hpp"
+#include "obs/metrics.hpp"
 #include "phy/link_sim.hpp"
 #include "phy/registry.hpp"
 
@@ -159,6 +164,51 @@ TEST(ImpairStreamBatch, TxOnlyAndRxOnlyChainsMatch) {
     StreamingLink stream{*tx, *rx, StreamPlan{plan, 0}};
     stream.add_impairment(cfo, impair::Stage::kRx);
     EXPECT_EQ(stream.run(point).point, expected);
+  }
+}
+
+/// The impair.<stage>.<block>.samples counters a run adds to a fresh
+/// registry.
+template <typename Run>
+std::map<std::string, double> impair_counters(Run&& run) {
+  obs::Registry registry;
+  obs::MetricsSession session{registry};
+  run();
+  std::map<std::string, double> out;
+  for (const auto& [name, counter] : registry.counters())
+    if (name.starts_with("impair.")) out[name] = counter.value();
+  return out;
+}
+
+TEST(ImpairStreamBatch, SampleCountersMatchAcrossEngines) {
+  const auto& entry = phy::Registry::builtin().at(phy::Protocol::kBle);
+  auto tx = entry.make_tx();
+  auto rx = entry.make_rx();
+  const auto plan = small_plan();
+  const phy::SweepPoint point{Dbm{-90.0}, std::nullopt};
+  const FullChain chain;
+
+  // Recorded from run_point before the stream moved where it counts.
+  const std::map<std::string, double> expected{
+      {"impair.rx.cfo_drift.samples", 4080.0},
+      {"impair.rx.dc_offset.samples", 4080.0},
+      {"impair.rx.phase_noise.samples", 4080.0},
+      {"impair.tx.iq_imbalance.samples", 4080.0},
+      {"impair.tx.pa_clip.samples", 4080.0},
+  };
+
+  phy::LinkSimulator classic{*tx, *rx, plan};
+  chain.attach(classic);
+  EXPECT_EQ(impair_counters([&] { (void)classic.run_point(point); }),
+            expected);
+
+  for (std::size_t gap : {std::size_t{0}, std::size_t{173}}) {
+    StreamingLink stream{*tx, *rx, StreamPlan{plan, gap}};
+    chain.attach(stream);
+    for (bool threaded : {false, true})
+      EXPECT_EQ(impair_counters([&] { (void)stream.run(point, threaded); }),
+                expected)
+          << gap << " " << threaded;
   }
 }
 
