@@ -4,7 +4,7 @@
 
 #include "exec/parallel_for.hpp"
 #include "exec/seed.hpp"
-#include "obs/metrics.hpp"
+#include "obs/shards.hpp"
 
 namespace tinysdr::adversary {
 
@@ -46,20 +46,13 @@ CoexistenceMatrix run_coexistence_matrix(const CoexistenceConfig& config,
   }
   matrix.cells.resize(jobs.size());
 
-  obs::Registry* parent = obs::metrics();
-  std::vector<std::unique_ptr<obs::Registry>> shards(jobs.size());
+  obs::ItemShards shards{jobs.size()};
 
   exec::ExecPolicy p = policy;
   if (p.grain == 0) p.grain = 1;  // one cell's trial loop is a heavy item
 
   (void)exec::parallel_for(jobs.size(), p, [&](std::size_t j, std::size_t) {
-    std::optional<obs::MetricsSession> session;
-    if (parent != nullptr) {
-      shards[j] = std::make_unique<obs::Registry>();
-      shards[j]->enable_journal();
-      session.emplace(*shards[j]);
-    }
-
+    auto scope = shards.enter(j);
     const Job& job = jobs[j];
     const phy::RegisteredPhy& victim = entries[job.victim];
     auto tx = victim.make_tx();
@@ -92,11 +85,7 @@ CoexistenceMatrix run_coexistence_matrix(const CoexistenceConfig& config,
     if (job.interferer) cell.interferer = entries[*job.interferer].id;
     cell.result = sim.run_point(point);
   });
-
-  // Merge telemetry in cell order, exactly like LinkSimulator::sweep.
-  if (parent != nullptr)
-    for (const auto& shard : shards)
-      if (shard != nullptr) parent->merge_from(*shard);
+  shards.fold_all();
   return matrix;
 }
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 
 #include "exec/pinned.hpp"
 #include "obs/metrics.hpp"
+#include "obs/shards.hpp"
 #include "obs/trace.hpp"
 
 namespace tinysdr::flow {
@@ -278,10 +278,7 @@ RunReport FlowGraph::run_threaded() {
     for (Edge& e : edges_) e.ring->close();
   };
 
-  obs::Registry* parent_metrics = obs::metrics();
-  obs::Tracer* parent_tracer = obs::tracer();
-  std::vector<std::unique_ptr<obs::Registry>> metric_shards(nodes_.size());
-  std::vector<std::unique_ptr<obs::Tracer>> trace_shards(nodes_.size());
+  obs::ItemShards shards{nodes_.size()};
 
   auto node_loop = [&](std::size_t i) {
     Node& node = nodes_[i];
@@ -339,17 +336,7 @@ RunReport FlowGraph::run_threaded() {
   };
 
   exec::run_pinned(nodes_.size(), [&](std::size_t i) {
-    std::optional<obs::MetricsSession> msession;
-    if (parent_metrics != nullptr) {
-      metric_shards[i] = std::make_unique<obs::Registry>();
-      metric_shards[i]->enable_journal();
-      msession.emplace(*metric_shards[i]);
-    }
-    std::optional<obs::TraceSession> tsession;
-    if (parent_tracer != nullptr) {
-      trace_shards[i] = std::make_unique<obs::Tracer>(obs::Tracer::unbounded());
-      tsession.emplace(*trace_shards[i]);
-    }
+    auto scope = shards.enter(i);
     try {
       node_loop(i);
     } catch (...) {
@@ -366,12 +353,7 @@ RunReport FlowGraph::run_threaded() {
 
   // Shards merge in node-index order, so telemetry is deterministic given
   // a deterministic per-node event sequence.
-  if (parent_metrics != nullptr)
-    for (const auto& shard : metric_shards)
-      if (shard != nullptr) parent_metrics->merge_from(*shard);
-  if (parent_tracer != nullptr)
-    for (const auto& shard : trace_shards)
-      if (shard != nullptr) parent_tracer->absorb(*shard);
+  shards.fold_all();
 
   if (first_error) std::rethrow_exception(first_error);
 

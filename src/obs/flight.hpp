@@ -13,9 +13,10 @@
 //   - Sim time, not wall clock: engines mirror the tracer clock
 //     (`set_time`, `shift_base`), so dumps are deterministic per seed.
 //   - Bounded memory: fixed-capacity ring, drop-oldest with a count.
-//   - Thread-sharded: parallel campaigns give each unit of work an
-//     unbounded() shard and absorb() the shards in node-index order, so
-//     the dump is byte-identical regardless of thread count.
+//   - Thread-sharded: parallel campaigns give each unit of work a shard
+//     of the same capacity and absorb() the shards in node-index order
+//     (obs::ItemShards), so the dump is byte-identical regardless of
+//     thread count.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"  // TraceArg: shared key/value attachment type
 
 namespace tinysdr::obs {
@@ -51,23 +53,16 @@ class FlightRecorder {
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Shard recorder for one unit of parallel work: grows on demand,
-  /// never drops, records against base 0. absorb() into the bounded
-  /// campaign recorder applies the drop-oldest semantics a serial run
-  /// would have had.
-  [[nodiscard]] static FlightRecorder unbounded();
-  [[nodiscard]] bool is_unbounded() const { return unbounded_; }
-
   /// Append a shard's records (oldest first) with timestamps offset by
   /// this recorder's base and fold its dropped count in. The shard is
   /// untouched; this recorder's clock does not move.
-  void absorb(const FlightRecorder& shard);
+  void absorb(const FlightRecorder& shard) { ring_.absorb(shard.ring_); }
 
   // ---------------------------------------------------------- sim clock
   /// Mirrors the Tracer clock: engines that call Tracer::set_time stamp
   /// the flight recorder with the same sim time.
-  void set_time(Seconds t);
-  void shift_base(Seconds dt);
+  void set_time(Seconds t) { ring_.set_time(t); }
+  void shift_base(Seconds dt) { ring_.shift_base(dt); }
 
   // --------------------------------------------------------------- node
   /// Node id stamped on subsequent records (campaign shards set this to
@@ -80,9 +75,9 @@ class FlightRecorder {
               std::vector<TraceArg> args = {});
 
   // -------------------------------------------------- inspection / dump
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::size_t dropped() const { return ring_.dropped(); }
   /// Records oldest-first (a copy; the ring stays untouched).
   [[nodiscard]] std::vector<FlightRecord> records() const;
   /// Records at `level` or more severe — the auto-dump trigger test.
@@ -102,15 +97,7 @@ class FlightRecorder {
   [[nodiscard]] const std::string& dump_path() const { return dump_path_; }
 
  private:
-  void push(FlightRecord record);
-
-  std::vector<FlightRecord> ring_;
-  bool unbounded_ = false;
-  std::size_t next_ = 0;
-  std::size_t count_ = 0;
-  std::size_t dropped_ = 0;
-  double base_us_ = 0.0;
-  double now_us_ = 0.0;
+  EventRing<FlightRecord> ring_;
   std::uint32_t node_ = 0;
   std::string dump_path_;
 };

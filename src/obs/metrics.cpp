@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -21,6 +22,63 @@ MetricsSession::MetricsSession(Registry& r) : previous_(g_metrics) {
 
 MetricsSession::~MetricsSession() { g_metrics = previous_; }
 
+// ----------------------------------------------------------------- ExactSum
+
+void ExactSum::add(double x) {
+  if (!std::isfinite(x)) {
+    nonfinite_ += x;
+    return;
+  }
+  // Grow the expansion by x: each partial is swapped in magnitude order
+  // and split into its rounded sum and exact error (Fast2Sum); zero
+  // errors are dropped, so the partials stay non-overlapping.
+  std::size_t kept = 0;
+  for (double y : partials_) {
+    if (std::fabs(x) < std::fabs(y)) std::swap(x, y);
+    const double hi = x + y;
+    const double lo = y - (hi - x);
+    if (lo != 0.0) partials_[kept++] = lo;
+    x = hi;
+  }
+  partials_.resize(kept);
+  if (!std::isfinite(x)) {
+    // Intermediate overflow: the exact total is out of range.
+    nonfinite_ += x;
+    partials_.clear();
+  } else if (x != 0.0) {
+    partials_.push_back(x);
+  }
+}
+
+void ExactSum::add(const ExactSum& other) {
+  for (double p : other.partials_) add(p);
+  nonfinite_ += other.nonfinite_;
+}
+
+double ExactSum::value() const {
+  if (nonfinite_ != 0.0) return nonfinite_;  // +-inf or nan
+  // Sum from the largest partial down until the sum turns inexact, then
+  // correct a round-half-even tie that the partials below break.
+  std::size_t n = partials_.size();
+  if (n == 0) return 0.0;
+  double hi = partials_[--n];
+  double lo = 0.0;
+  while (n > 0) {
+    const double x = hi;
+    const double y = partials_[--n];
+    hi = x + y;
+    lo = y - (hi - x);
+    if (lo != 0.0) break;
+  }
+  if (n > 0 && ((lo < 0.0 && partials_[n - 1] < 0.0) ||
+                (lo > 0.0 && partials_[n - 1] > 0.0))) {
+    const double y = lo * 2.0;
+    const double x = hi + y;
+    if (y == x - hi) hi = x;
+  }
+  return hi;
+}
+
 // ---------------------------------------------------------------- Histogram
 
 Histogram::Histogram(HistogramSpec spec) : spec_(spec) {
@@ -31,16 +89,10 @@ Histogram::Histogram(HistogramSpec spec) : spec_(spec) {
 }
 
 void Histogram::observe(double value) {
-  if (journaled_) journal_.push_back(value);
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
+  min_ = count_ == 0 ? value : std::min(min_, value);
+  max_ = count_ == 0 ? value : std::max(max_, value);
   ++count_;
-  sum_ += value;
+  sum_.add(value);
 
   if (value < spec_.lo) {
     ++underflow_;
@@ -92,46 +144,26 @@ double Histogram::quantile(double q) const {
 // ----------------------------------------------------------------- Registry
 
 Histogram& Registry::histogram(const std::string& name, HistogramSpec spec) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_.emplace(name, Histogram{spec}).first;
-  if (journal_) it->second.journaled_ = true;
-  return it->second;
+  return histograms_.try_emplace(name, spec).first->second;
 }
 
 void Registry::merge_from(const Registry& shard) {
-  for (const auto& [name, c] : shard.counters_) {
-    Counter& dst = counter(name);
-    if (c.journaled_) {
-      for (double v : c.journal_) dst.add(v);
-    } else {
-      dst.add(c.value_);
-    }
-  }
+  for (const auto& [name, c] : shard.counters_)
+    counter(name).value_.add(c.value_);
   for (const auto& [name, g] : shard.gauges_)
     if (g.touched_) gauge(name).set(g.value_);
   for (const auto& [name, h] : shard.histograms_) {
     Histogram& dst = histogram(name, h.spec_);
-    if (h.journaled_) {
-      for (double v : h.journal_) dst.observe(v);
-    } else {
-      // Aggregate fallback: bucket-exact, sum grouped per shard.
-      if (h.count_ == 0) continue;
-      if (dst.count_ == 0) {
-        dst.min_ = h.min_;
-        dst.max_ = h.max_;
-      } else {
-        dst.min_ = std::min(dst.min_, h.min_);
-        dst.max_ = std::max(dst.max_, h.max_);
-      }
-      dst.count_ += h.count_;
-      dst.sum_ += h.sum_;
-      dst.underflow_ += h.underflow_;
-      dst.overflow_ += h.overflow_;
-      for (std::size_t i = 0;
-           i < dst.counts_.size() && i < h.counts_.size(); ++i)
-        dst.counts_[i] += h.counts_[i];
-    }
+    if (h.count_ == 0) continue;
+    dst.min_ = dst.count_ == 0 ? h.min_ : std::min(dst.min_, h.min_);
+    dst.max_ = dst.count_ == 0 ? h.max_ : std::max(dst.max_, h.max_);
+    dst.count_ += h.count_;
+    dst.sum_.add(h.sum_);
+    dst.underflow_ += h.underflow_;
+    dst.overflow_ += h.overflow_;
+    for (std::size_t i = 0; i < dst.counts_.size() && i < h.counts_.size();
+         ++i)
+      dst.counts_[i] += h.counts_[i];
   }
 }
 

@@ -6,11 +6,14 @@
 // Same null-sink contract as the tracer: `metrics()` is nullptr until a
 // MetricsSession installs a Registry, so uninstrumented runs pay one
 // branch per site and produce bit-identical results. The sink pointer is
-// thread_local: parallel campaigns install a journaled shard Registry per
-// unit of work and merge_from() the shards in deterministic index order.
-// The journal replays every raw add/observe in its original order, so the
-// merged floating-point state is bit-identical to a serial run's — no
-// reliance on (non-existent) float associativity.
+// thread_local: parallel drivers give each unit of work a shard Registry
+// (obs::ItemShards, shards.hpp) and merge_from() the shards. Every summed
+// field is order-independent: counts, buckets, min and max are, and
+// counter values and histogram sums are ExactSums, whose value is the
+// correctly rounded exact total. So a merge is associative and
+// commutative, its state does not grow with the number of operations,
+// and a sharded run equals a serial one bit for bit at any thread count.
+// Gauges are last-write-wins; shards merge them in index order.
 #pragma once
 
 #include <cstdint>
@@ -21,19 +24,32 @@
 
 namespace tinysdr::obs {
 
+/// Exact running sum of doubles: Shewchuk's non-overlapping partials, the
+/// method behind Python's math.fsum. value() is the exact total rounded
+/// once to nearest-even, so it does not depend on the order of add()s or
+/// merges. Non-finite inputs are summed on their own and dominate the
+/// result. The partials never overlap, so their number is bounded by the
+/// exponent range (in practice one to three), not by the number of adds.
+/// A running total beyond the double range saturates to +-inf.
+class ExactSum {
+ public:
+  void add(double x);
+  void add(const ExactSum& other);
+  [[nodiscard]] double value() const;
+
+ private:
+  std::vector<double> partials_;  ///< non-overlapping, increasing magnitude
+  double nonfinite_ = 0.0;        ///< sum of the inf/nan inputs
+};
+
 class Counter {
  public:
-  void add(double n = 1.0) {
-    value_ += n;
-    if (journaled_) journal_.push_back(n);
-  }
-  [[nodiscard]] double value() const { return value_; }
+  void add(double n = 1.0) { value_.add(n); }
+  [[nodiscard]] double value() const { return value_.value(); }
 
  private:
   friend class Registry;
-  double value_ = 0.0;
-  bool journaled_ = false;        ///< shard mode (Registry::enable_journal)
-  std::vector<double> journal_;   ///< every add, in order, for exact replay
+  ExactSum value_;
 };
 
 class Gauge {
@@ -79,10 +95,7 @@ class Histogram {
 
   [[nodiscard]] const HistogramSpec& spec() const { return spec_; }
   [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
+  [[nodiscard]] double sum() const { return sum_.value(); }
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
   [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
@@ -105,13 +118,11 @@ class Histogram {
  private:
   friend class Registry;
   HistogramSpec spec_;
-  bool journaled_ = false;
-  std::vector<double> journal_;  ///< every observed value, in order
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
   std::uint64_t count_ = 0;
-  double sum_ = 0.0;
+  ExactSum sum_;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -147,22 +158,13 @@ class Registry {
  public:
   /// Find-or-create by name. For histograms, the spec applies only on
   /// first creation; later lookups return the existing instrument.
-  Counter& counter(const std::string& name) {
-    Counter& c = counters_[name];
-    if (journal_) c.journaled_ = true;
-    return c;
-  }
+  Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name, HistogramSpec spec = {});
 
-  /// Shard mode: every instrument additionally records its raw operations
-  /// so merge_from() can replay them in order with exact float semantics.
-  void enable_journal() { journal_ = true; }
-  [[nodiscard]] bool journal_enabled() const { return journal_; }
-
-  /// Fold a shard registry into this one. Journaled shard instruments are
-  /// replayed operation by operation (bit-exact vs. having run the same
-  /// ops here directly); non-journaled ones are merged by aggregate.
+  /// Fold a shard registry into this one by aggregate: exact sums add,
+  /// counts and buckets add, min/max combine, touched gauges overwrite.
+  /// Bit-identical to having run the shard's operations here directly.
   void merge_from(const Registry& shard);
 
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
@@ -180,7 +182,6 @@ class Registry {
   void write_json(std::ostream& out) const { snapshot().write_json(out); }
 
  private:
-  bool journal_ = false;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;

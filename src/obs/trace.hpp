@@ -17,10 +17,10 @@
 //     drops the oldest events and counts them (`dropped()`).
 //   - Thread-sharded, not thread-shared. The current-tracer pointer is
 //     thread_local: each thread traces into its own sink (a Tracer is
-//     still single-threaded). Parallel campaigns give every unit of work
-//     an unbounded() shard tracer and merge the shards into the bounded
-//     campaign tracer in deterministic index order with absorb(), so the
-//     exported JSON is byte-identical regardless of thread count.
+//     still single-threaded). Parallel drivers give every unit of work a
+//     shard tracer of the same capacity and absorb() the shards in index
+//     order (obs::ItemShards), so the exported JSON is byte-identical
+//     regardless of thread count.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/ring.hpp"
 
 namespace tinysdr::obs {
 
@@ -56,6 +57,9 @@ struct TraceArg {
   }
 };
 
+/// Write `args` as one JSON object: {"key":value,...}.
+void write_json_args(std::ostream& out, const std::vector<TraceArg>& args);
+
 /// A recorded event, in Chrome trace_event terms: phase 'X' = complete
 /// span, 'i' = instant, 'C' = counter sample, 's'/'t'/'f' = flow
 /// begin/step/end (causal arrows between spans, possibly on different
@@ -78,12 +82,8 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  /// Shard tracer for one unit of parallel work: grows on demand and
-  /// never drops, records against base 0, and is later absorb()ed into a
-  /// bounded campaign tracer — which then applies the exact drop-oldest
-  /// semantics a serial run would have.
+  /// A tracer that never drops: it grows on demand.
   [[nodiscard]] static Tracer unbounded();
-  [[nodiscard]] bool is_unbounded() const { return unbounded_; }
 
   /// Append a shard's events (oldest first) with their timestamps offset
   /// by this tracer's current base, merge its track names, and fold its
@@ -93,13 +93,15 @@ class Tracer {
 
   // ------------------------------------------------------------ sim clock
   /// Current absolute sim time (base + engine-relative time).
-  [[nodiscard]] Seconds now() const;
+  [[nodiscard]] Seconds now() const {
+    return Seconds::from_microseconds(ring_.now_us());
+  }
   /// Engine-relative clock: now = base + t. Engines call this as they
   /// account simulated time.
-  void set_time(Seconds t);
+  void set_time(Seconds t) { ring_.set_time(t); }
   /// Lay consecutive timelines end to end (e.g. sequential per-node
   /// updates in a campaign): base += dt, and the relative clock restarts.
-  void shift_base(Seconds dt);
+  void shift_base(Seconds dt) { ring_.shift_base(dt); }
 
   // -------------------------------------------------- track (Perfetto tid)
   void set_track(std::uint32_t track) { track_ = track; }
@@ -128,11 +130,13 @@ class Tracer {
   void flow_end(const char* category, std::string name, std::uint64_t id);
 
   // --------------------------------------------------- inspection / export
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::size_t dropped() const { return ring_.dropped(); }
   /// Events oldest-first (a copy; the ring stays untouched).
-  [[nodiscard]] std::vector<TraceEvent> events() const;
+  [[nodiscard]] std::vector<TraceEvent> events() const {
+    return ring_.items();
+  }
   /// Number of recorded events in a category.
   [[nodiscard]] std::size_t count_category(std::string_view category) const;
 
@@ -142,15 +146,13 @@ class Tracer {
   [[nodiscard]] std::string chrome_json() const;
 
  private:
-  void push(TraceEvent event);
+  /// An event of `phase` stamped with the current time and track.
+  [[nodiscard]] TraceEvent event(char phase, const char* category,
+                                 std::string name) const;
+  void flow(char phase, const char* category, std::string name,
+            std::uint64_t id);
 
-  std::vector<TraceEvent> ring_;
-  bool unbounded_ = false;   ///< shard mode: append-only, never drops
-  std::size_t next_ = 0;     ///< ring slot the next event lands in
-  std::size_t count_ = 0;    ///< live events (<= capacity)
-  std::size_t dropped_ = 0;  ///< events overwritten after overflow
-  double base_us_ = 0.0;
-  double now_us_ = 0.0;
+  EventRing<TraceEvent> ring_;
   std::uint32_t track_ = 0;
   std::map<std::uint32_t, std::string> track_names_;
 };

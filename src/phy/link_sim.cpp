@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <memory>
 #include <string>
 
 #include "exec/parallel_for.hpp"
 #include "exec/seed.hpp"
 #include "obs/metrics.hpp"
+#include "obs/shards.hpp"
 
 namespace tinysdr::phy {
 
@@ -164,28 +164,17 @@ exec::RunStatus LinkSimulator::sweep(std::span<const SweepPoint> points,
                                      std::vector<PointResult>& results,
                                      const exec::ExecPolicy& policy) const {
   results.assign(points.size(), PointResult{});
-  obs::Registry* parent = obs::metrics();
-  std::vector<std::unique_ptr<obs::Registry>> shards(points.size());
+  obs::ItemShards shards{points.size()};
 
   exec::ExecPolicy p = policy;
   if (p.grain == 0) p.grain = 1;  // a point's trial loop is a heavy item
 
   exec::RunStatus status =
       exec::parallel_for(points.size(), p, [&](std::size_t i, std::size_t) {
-        std::optional<obs::MetricsSession> session;
-        if (parent != nullptr) {
-          shards[i] = std::make_unique<obs::Registry>();
-          shards[i]->enable_journal();
-          session.emplace(*shards[i]);
-        }
+        auto scope = shards.enter(i);
         results[i] = run_point(points[i]);
       });
-
-  // Points skipped by cancellation/deadline have no shard; completed ones
-  // merge in index order exactly as a full run would.
-  if (parent != nullptr)
-    for (const auto& shard : shards)
-      if (shard != nullptr) parent->merge_from(*shard);
+  shards.fold_all();
   return status;
 }
 

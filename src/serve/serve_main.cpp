@@ -4,7 +4,7 @@
 // serves the NDJSON protocol on a Unix socket or loopback TCP port until
 // a {"type":"shutdown"} request or SIGINT/SIGTERM.
 //
-//   tinysdr_serve --socket /tmp/tinysdr.sock \
+//   tinysdr_serve --socket /tmp/tinysdr.sock
 //       --cache-journal cache.ndjson --job-journal jobs.ndjson
 //   tinysdr_serve --tcp 0            # ephemeral port, printed on stdout
 #include <csignal>

@@ -2,7 +2,7 @@
 //
 // Speaks the one-line-JSON protocol over a Unix socket or loopback TCP:
 //
-//   tinysdr_submit --socket /tmp/tinysdr.sock --job campaign.json \
+//   tinysdr_submit --socket /tmp/tinysdr.sock --job campaign.json
 //       --wait --out result.json --summary summary.json
 //   tinysdr_submit --tcp 43117 --stats
 //   tinysdr_submit --socket /tmp/tinysdr.sock --shutdown

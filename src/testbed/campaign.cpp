@@ -6,9 +6,7 @@
 
 #include "exec/parallel_for.hpp"
 #include "exec/seed.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/shards.hpp"
 
 namespace tinysdr::testbed {
 
@@ -56,81 +54,43 @@ std::uint64_t node_link_seed(std::uint64_t pass_base,
 
 namespace {
 
-/// One node's unit of parallel work: its report plus the telemetry it
-/// recorded, kept aside until the deterministic in-order merge.
-struct NodeShard {
-  std::optional<ota::UpdateReport> report;
-  std::unique_ptr<obs::Tracer> trace;
-  std::unique_ptr<obs::Registry> metrics;
-  std::unique_ptr<obs::FlightRecorder> flight;
-};
-
 /// Run `run_node(node, index)` for every node of the deployment on the
-/// exec worker pool, each with its own telemetry shard, then merge the
-/// shards in node-index order: each node's timeline is laid end to end
-/// after the previous one (shift_base), and its metric operations are
-/// replayed in order — byte-identical output no matter the thread count.
+/// exec worker pool, each with its own telemetry shards (the node traces
+/// on its own track), then fold the shards in node-index order, laying
+/// each node's timeline end to end after the previous one: byte-identical
+/// output no matter the thread count. Returns the reports of the nodes
+/// that ran, in node order (a cancelled node never starts).
 template <typename RunNode>
-exec::RunStatus run_fleet(const Deployment& deployment,
-                          const exec::ExecPolicy& policy,
-                          std::vector<NodeShard>& shards,
-                          RunNode&& run_node) {
+std::vector<ota::UpdateReport> run_fleet(const Deployment& deployment,
+                                         const exec::ExecPolicy& policy,
+                                         exec::RunStatus& status,
+                                         RunNode&& run_node) {
   const auto& nodes = deployment.nodes();
-  shards.clear();
-  shards.resize(nodes.size());
-  obs::Tracer* campaign_tracer = obs::tracer();
-  obs::Registry* campaign_metrics = obs::metrics();
-  obs::FlightRecorder* campaign_flight = obs::flight();
+  std::vector<std::optional<ota::UpdateReport>> reports(nodes.size());
+  obs::ItemShards shards{nodes.size()};
 
   exec::ExecPolicy p = policy;
   if (p.grain == 0) p.grain = 1;  // one OTA update is a heavy item
 
-  auto status = exec::parallel_for(
+  status = exec::parallel_for(
       nodes.size(), p, [&](std::size_t i, std::size_t) {
-        NodeShard& shard = shards[i];
-        std::optional<obs::TraceSession> trace_session;
-        std::optional<obs::MetricsSession> metrics_session;
-        std::optional<obs::FlightSession> flight_session;
-        if (campaign_tracer != nullptr) {
-          shard.trace =
-              std::make_unique<obs::Tracer>(obs::Tracer::unbounded());
-          trace_session.emplace(*shard.trace);
-          shard.trace->set_track(nodes[i].id);
-          shard.trace->name_track(nodes[i].id,
-                                  "node-" + std::to_string(nodes[i].id));
+        auto scope = shards.enter(i);
+        const std::uint16_t id = nodes[i].id;
+        if (auto* t = obs::tracer()) {
+          t->set_track(id);
+          t->name_track(id, "node-" + std::to_string(id));
         }
-        if (campaign_flight != nullptr) {
-          shard.flight = std::make_unique<obs::FlightRecorder>(
-              obs::FlightRecorder::unbounded());
-          flight_session.emplace(*shard.flight);
-          shard.flight->set_node(nodes[i].id);
-        }
-        if (campaign_metrics != nullptr) {
-          shard.metrics = std::make_unique<obs::Registry>();
-          shard.metrics->enable_journal();
-          metrics_session.emplace(*shard.metrics);
-        }
-        shard.report = run_node(nodes[i], i);
+        if (auto* f = obs::flight()) f->set_node(id);
+        reports[i] = run_node(nodes[i], i);
       });
 
-  for (auto& shard : shards) {
-    if (!shard.report) continue;  // node never started (cancelled)
-    if (campaign_tracer != nullptr && shard.trace != nullptr) {
-      campaign_tracer->absorb(*shard.trace);
-      campaign_tracer->shift_base(shard.report->total_time);
-      campaign_tracer->set_track(0);
-    }
-    if (campaign_flight != nullptr && shard.flight != nullptr) {
-      campaign_flight->absorb(*shard.flight);
-      campaign_flight->shift_base(shard.report->total_time);
-    }
-    if (campaign_metrics != nullptr && shard.metrics != nullptr)
-      campaign_metrics->merge_from(*shard.metrics);
-    shard.trace.reset();
-    shard.metrics.reset();
-    shard.flight.reset();
+  std::vector<ota::UpdateReport> ran;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    if (!reports[i]) continue;
+    shards.fold(i, reports[i]->total_time);
+    ran.push_back(std::move(*reports[i]));
   }
-  return status;
+  return ran;
 }
 
 /// Post-mortem trigger shared by both campaign drivers: when a run ended
@@ -176,9 +136,8 @@ CampaignResult run_campaign(const Deployment& deployment,
   for (const auto& node : deployment.nodes())
     seeds.push_back(node_link_seed(pass_base, node.id));
 
-  std::vector<NodeShard> shards;
-  result.exec_status = run_fleet(
-      deployment, policy, shards,
+  result.per_node = run_fleet(
+      deployment, policy, result.exec_status,
       [&](const Node& node, std::size_t i) {
         ota::OtaLink link{ota::ota_link_params(), node.rssi, seeds[i]};
         ota::FlashModel flash;
@@ -186,18 +145,15 @@ CampaignResult run_campaign(const Deployment& deployment,
         return planner.run(air, target, node.id, link, flash, mcu);
       });
 
-  for (auto& shard : shards) {
-    if (!shard.report) continue;
-    if (auto* m = obs::metrics()) {
+  if (auto* m = obs::metrics()) {
+    for (const auto& report : result.per_node) {
       m->counter("testbed.nodes_attempted").add();
-      if (shard.report->success) {
-        m->counter("testbed.nodes_updated").add();
-        m->histogram("testbed.node_time_min",
-                     obs::HistogramSpec::linear(0.0, 240.0, 48))
-            .observe(shard.report->total_time.value() / 60.0);
-      }
+      if (!report.success) continue;
+      m->counter("testbed.nodes_updated").add();
+      m->histogram("testbed.node_time_min",
+                   obs::HistogramSpec::linear(0.0, 240.0, 48))
+          .observe(report.total_time.value() / 60.0);
     }
-    result.per_node.push_back(std::move(*shard.report));
   }
   maybe_dump_flight("campaign:" + image.name,
                     result.per_node.size() - result.successes(),
@@ -266,15 +222,6 @@ FaultCampaignEntry summarize(std::string name,
   return entry;
 }
 
-std::vector<ota::UpdateReport> collect_reports(
-    std::vector<NodeShard>& shards) {
-  std::vector<ota::UpdateReport> reports;
-  reports.reserve(shards.size());
-  for (auto& s : shards)
-    if (s.report) reports.push_back(std::move(*s.report));
-  return reports;
-}
-
 }  // namespace
 
 FaultCampaignResult run_fault_campaign(
@@ -297,9 +244,8 @@ FaultCampaignResult run_fault_campaign(
   {
     obs::TraceSpan scenario_span{"testbed", "scenario:baseline"};
     const std::uint64_t pass_base = exec::stream_seed(campaign_base, 0);
-    std::vector<NodeShard> shards;
-    result.exec_status = run_fleet(
-        deployment, policy, shards,
+    auto reports = run_fleet(
+        deployment, policy, result.exec_status,
         [&](const Node& node, std::size_t) {
           ota::OtaLink link{ota::ota_link_params(), node.rssi,
                             node_link_seed(pass_base, node.id)};
@@ -307,8 +253,7 @@ FaultCampaignResult run_fault_campaign(
           mcu::Msp432 mcu = mcu::baseline_firmware();
           return planner.run(air, target, node.id, link, flash, mcu);
         });
-    result.baseline =
-        summarize("baseline", collect_reports(shards), nullptr);
+    result.baseline = summarize("baseline", std::move(reports), nullptr);
   }
 
   for (std::size_t k = 0; k < scenarios.size(); ++k) {
@@ -317,9 +262,8 @@ FaultCampaignResult run_fault_campaign(
     obs::TraceSpan scenario_span{"testbed", "scenario:" + scenario.name};
     const std::uint64_t pass_base =
         exec::stream_seed(campaign_base, k + 1);
-    std::vector<NodeShard> shards;
-    result.exec_status = run_fleet(
-        deployment, policy, shards,
+    auto reports = run_fleet(
+        deployment, policy, result.exec_status,
         [&](const Node& node, std::size_t) {
           std::uint64_t seed = node_link_seed(pass_base, node.id);
           ota::OtaLink link{ota::ota_link_params(), node.rssi, seed};
@@ -353,7 +297,7 @@ FaultCampaignResult run_fault_campaign(
                              options);
         });
     result.scenarios.push_back(summarize(
-        scenario.name, collect_reports(shards), &result.baseline));
+        scenario.name, std::move(reports), &result.baseline));
   }
   std::size_t failed = result.baseline.nodes - result.baseline.successes;
   for (const auto& s : result.scenarios) failed += s.nodes - s.successes;

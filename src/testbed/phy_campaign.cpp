@@ -1,12 +1,11 @@
 #include "testbed/phy_campaign.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "exec/parallel_for.hpp"
-#include "obs/metrics.hpp"
+#include "obs/shards.hpp"
 #include "testbed/campaign.hpp"
 
 namespace tinysdr::testbed {
@@ -49,21 +48,14 @@ PhyCampaignResult run_phy_campaign(const Deployment& deployment,
   PhyCampaignResult result;
   result.per_node.resize(nodes.size());
 
-  obs::Registry* campaign_metrics = obs::metrics();
-  std::vector<std::unique_ptr<obs::Registry>> shards(nodes.size());
+  obs::ItemShards shards{nodes.size()};
 
   exec::ExecPolicy p = policy;
   if (p.grain == 0) p.grain = 1;  // one node's trial batch is a heavy item
 
   result.exec_status = exec::parallel_for(
       nodes.size(), p, [&](std::size_t i, std::size_t) {
-        std::optional<obs::MetricsSession> session;
-        if (campaign_metrics != nullptr) {
-          shards[i] = std::make_unique<obs::Registry>();
-          shards[i]->enable_journal();
-          session.emplace(*shards[i]);
-        }
-
+        auto scope = shards.enter(i);
         const Node& node = nodes[i];
         const auto& entry =
             pinned != nullptr ? *pinned
@@ -86,10 +78,7 @@ PhyCampaignResult run_phy_campaign(const Deployment& deployment,
         out.rssi_dbm = node.rssi.value();
         out.link = sim.run_point({node.rssi, std::nullopt});
       });
-
-  if (campaign_metrics != nullptr)
-    for (const auto& shard : shards)
-      if (shard != nullptr) campaign_metrics->merge_from(*shard);
+  shards.fold_all();
   return result;
 }
 

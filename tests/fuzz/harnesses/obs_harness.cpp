@@ -1,8 +1,10 @@
 // obs::Registry merge harness: any op sequence, partitioned into any
-// contiguous set of journaled shards and merged back in order — flat or
-// through journaled intermediates — must be bit-identical to having run
-// the ops serially. This is the exact mechanism the parallel campaign
-// and sweep engines rely on for threads-invariant telemetry.
+// contiguous set of shards and merged back in order — flat or through
+// intermediate shards — must be bit-identical to having run the ops
+// serially, and merging the shards in reverse order must give the same
+// counters and histograms (exact sums make those order-independent).
+// This is the exact mechanism the parallel campaign and sweep engines
+// rely on for threads-invariant telemetry.
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -60,6 +62,13 @@ void apply(obs::Registry& r, const Op& op) {
 void metrics_merge(std::span<const std::uint8_t> data) {
   testkit::ByteSource src{data};
 
+  // The partition shape comes first, so it is drawn from the input's own
+  // bytes even when decoding the ops below runs the input dry.
+  const std::size_t nshards = 1 + src.uint_below(5);
+  std::uint32_t cuts[4] = {};
+  for (std::size_t s = 0; s + 1 < nshards; ++s) cuts[s] = src.u32();
+  const std::uint32_t split_draw = src.u32();
+
   // Decode an op sequence with values deliberately hitting the edges:
   // zero and negative samples on log-scale histograms, huge magnitudes,
   // non-finite-adjacent tiny values.
@@ -89,17 +98,13 @@ void metrics_merge(std::span<const std::uint8_t> data) {
   obs::Registry serial;
   for (const auto& op : ops) apply(serial, op);
 
-  // Contiguous partition into 1..5 journaled shards, merged in order.
-  const std::size_t nshards = 1 + src.uint_below(5);
+  // Contiguous partition into 1..5 shards, merged in order.
   std::vector<std::unique_ptr<obs::Registry>> shards;
   std::size_t at = 0;
   for (std::size_t s = 0; s < nshards; ++s) {
     auto shard = std::make_unique<obs::Registry>();
-    shard->enable_journal();
-    std::size_t take = s + 1 == nshards
-                           ? ops.size() - at
-                           : src.uint_below(static_cast<std::uint32_t>(
-                                 ops.size() - at + 1));
+    std::size_t take =
+        s + 1 == nshards ? ops.size() - at : cuts[s] % (ops.size() - at + 1);
     for (std::size_t i = 0; i < take; ++i) apply(*shard, ops[at + i]);
     at += take;
     shards.push_back(std::move(shard));
@@ -112,13 +117,20 @@ void metrics_merge(std::span<const std::uint8_t> data) {
   require(flat.json() == serial.json(),
           "flat merge JSON not byte-identical to serial");
 
-  // Associativity: group the shards into two journaled intermediates,
-  // then merge those — same result again.
+  // Commutativity: the shards merged last to first. Gauges are
+  // last-write-wins, so only counters and histograms must match.
+  obs::Registry reversed;
+  for (auto it = shards.rbegin(); it != shards.rend(); ++it)
+    reversed.merge_from(**it);
+  const obs::MetricsSnapshot want = serial.snapshot();
+  const obs::MetricsSnapshot got = reversed.snapshot();
+  require(got.counters == want.counters && got.histograms == want.histograms,
+          "reverse-order merge diverged from the serial registry");
+
+  // Associativity: group the shards into two intermediates, then merge
+  // those — same result again.
   obs::Registry left, right;
-  left.enable_journal();
-  right.enable_journal();
-  const std::size_t split = src.uint_below(static_cast<std::uint32_t>(
-      shards.size() + 1));
+  const std::size_t split = split_draw % (shards.size() + 1);
   for (std::size_t s = 0; s < shards.size(); ++s)
     (s < split ? left : right).merge_from(*shards[s]);
   obs::Registry grouped;

@@ -93,7 +93,7 @@ TEST(FlightRecorder, AbsorbOffsetsShardTimestamps) {
   // Two shards recorded against base 0, merged in node order with the
   // campaign pattern: absorb, then shift_base by the shard's duration.
   auto shard = [](std::uint32_t node, const char* msg) {
-    FlightRecorder s = FlightRecorder::unbounded();
+    FlightRecorder s;
     s.set_node(node);
     s.set_time(Seconds{1.0});
     s.record(FlightLevel::kInfo, "ota", msg);
@@ -117,7 +117,7 @@ TEST(FlightRecorder, AbsorbOffsetsShardTimestamps) {
 }
 
 TEST(FlightRecorder, AbsorbIntoBoundedRingAppliesSerialDropSemantics) {
-  FlightRecorder shard = FlightRecorder::unbounded();
+  FlightRecorder shard;
   for (int i = 0; i < 6; ++i)
     shard.record(FlightLevel::kInfo, "t", "m" + std::to_string(i));
   EXPECT_EQ(shard.dropped(), 0u);

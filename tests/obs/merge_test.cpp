@@ -1,5 +1,5 @@
 // Shard-merge edge cases: Tracer::absorb event ordering and
-// Registry::merge_from over journaled histogram shards — the two
+// Registry::merge_from over histogram shards with exact sums — the two
 // operations the parallel campaign's byte-identity guarantee stands on.
 #include <gtest/gtest.h>
 
@@ -75,24 +75,51 @@ TEST(TracerAbsorb, MergesTrackNamesAndDropCounts) {
   EXPECT_NE(campaign.chrome_json().find("node-7"), std::string::npos);
 }
 
-// ------------------------------------------- Registry::merge_from (journal)
+TEST(TracerAbsorb, SameCapacityShardsMatchSerialRing) {
+  // Shards bounded at the target's capacity drop only events the target
+  // would drop anyway, so every contiguous split of an event sequence
+  // exports exactly what one serial ring of that capacity does.
+  constexpr int kEvents = 12;
+  auto record = [](Tracer& t, int i) {
+    t.set_time(Seconds{static_cast<double>(i)});
+    t.instant("t", "e" + std::to_string(i));
+  };
+  for (std::size_t capacity : {1u, 3u, 5u, 16u}) {
+    Tracer serial{capacity};
+    for (int i = 0; i < kEvents; ++i) record(serial, i);
+    for (int a = 0; a <= kEvents; ++a) {
+      for (int b = a; b <= kEvents; ++b) {
+        const int bounds[4] = {0, a, b, kEvents};
+        Tracer campaign{capacity};
+        for (int s = 0; s < 3; ++s) {
+          Tracer shard{capacity};
+          for (int i = bounds[s]; i < bounds[s + 1]; ++i) record(shard, i);
+          campaign.absorb(shard);
+        }
+        ASSERT_EQ(campaign.chrome_json(), serial.chrome_json())
+            << "capacity " << capacity << ", split " << a << "/" << b;
+      }
+    }
+  }
+}
 
-TEST(RegistryMerge, EmptyJournaledShardIsANoop) {
+// -------------------------------------------------- Registry::merge_from
+
+TEST(RegistryMerge, EmptyShardIsANoop) {
   Registry campaign;
   campaign.counter("c").add(2.0);
   campaign.histogram("h", HistogramSpec::linear(0.0, 10.0, 5)).observe(3.0);
   std::string before = campaign.json();
 
   Registry shard;
-  shard.enable_journal();
   campaign.merge_from(shard);
   EXPECT_EQ(campaign.json(), before);
 }
 
-TEST(RegistryMerge, JournaledHistogramShardsReplayBitExact) {
-  // The journal replays float accumulation op by op, so a sharded run
-  // must produce the exact accumulator state of the serial run — not
-  // just the same bucket counts.
+TEST(RegistryMerge, HistogramShardsMergeBitExact) {
+  // Sums are exact and rounded once, so a sharded run must produce the
+  // exact accumulator state of the serial run — not just the same
+  // bucket counts — in either merge order.
   const HistogramSpec spec = HistogramSpec::log_scale(1e-3, 1e3, 12);
   const double xs[] = {0.1, 0.7, 1e-4, 5.0, 999.0, 2e3, 0.25};
 
@@ -101,8 +128,6 @@ TEST(RegistryMerge, JournaledHistogramShardsReplayBitExact) {
 
   Registry merged;
   Registry shard_a, shard_b;
-  shard_a.enable_journal();
-  shard_b.enable_journal();
   for (int i = 0; i < 4; ++i) shard_a.histogram("h", spec).observe(xs[i]);
   for (int i = 4; i < 7; ++i) shard_b.histogram("h", spec).observe(xs[i]);
   merged.merge_from(shard_a);
@@ -110,13 +135,57 @@ TEST(RegistryMerge, JournaledHistogramShardsReplayBitExact) {
 
   EXPECT_EQ(merged.snapshot(), serial.snapshot());
   EXPECT_EQ(merged.json(), serial.json());
+
+  Registry reversed;
+  reversed.merge_from(shard_b);
+  reversed.merge_from(shard_a);
+  EXPECT_EQ(reversed.json(), serial.json());
+}
+
+TEST(RegistryMerge, CancellationSumsExactlyUnderEveryPartition) {
+  // Naive left-to-right summation of {1e16, 1, -1e16} gives 0 (the 1 is
+  // absorbed by 1e16); the exact sum is 1 whichever way the values are
+  // split across shards and whichever order the shards merge in.
+  const double xs[] = {1e16, 1.0, -1e16};
+  EXPECT_EQ((xs[0] + xs[1]) + xs[2], 0.0);
+  const HistogramSpec spec = HistogramSpec::linear(0.0, 10.0, 5);
+
+  Registry serial;
+  for (double x : xs) {
+    serial.counter("c").add(x);
+    serial.histogram("h", spec).observe(x);
+  }
+  EXPECT_EQ(serial.counters().at("c").value(), 1.0);
+  EXPECT_EQ(serial.histograms().at("h").sum(), 1.0);
+
+  // Every assignment of the three values to shards 0..2, merged in both
+  // index orders.
+  for (int assign = 0; assign < 27; ++assign) {
+    Registry shards[3];
+    int code = assign;
+    for (double x : xs) {
+      Registry& shard = shards[code % 3];
+      code /= 3;
+      shard.counter("c").add(x);
+      shard.histogram("h", spec).observe(x);
+    }
+    Registry forward, backward;
+    for (int k = 0; k < 3; ++k) {
+      forward.merge_from(shards[k]);
+      backward.merge_from(shards[2 - k]);
+    }
+    for (const Registry* merged : {&forward, &backward}) {
+      EXPECT_EQ(merged->counters().at("c").value(), 1.0)
+          << "partition " << assign;
+      EXPECT_EQ(merged->histograms().at("h").sum(), 1.0)
+          << "partition " << assign;
+    }
+  }
 }
 
 TEST(RegistryMerge, DuplicateMetricNamesAccumulateAcrossShards) {
   Registry campaign;
   Registry shard_a, shard_b;
-  shard_a.enable_journal();
-  shard_b.enable_journal();
   // Both shards touch the *same* counter and histogram names — the
   // normal case, since every node runs the same instrumented code.
   shard_a.counter("ota.transfers").add(3.0);
@@ -138,7 +207,6 @@ TEST(RegistryMerge, MergeThenSnapshotIsDeterministic) {
     Registry campaign;
     for (int shard_idx = 0; shard_idx < 3; ++shard_idx) {
       Registry shard;
-      shard.enable_journal();
       shard.counter("n").add(static_cast<double>(shard_idx) + 0.5);
       shard.histogram("h", HistogramSpec::log_scale(0.1, 100.0, 8))
           .observe(static_cast<double>(shard_idx) * 1.1 + 0.2);

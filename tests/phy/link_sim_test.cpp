@@ -38,17 +38,17 @@ TEST(LinkSimulator, ByteIdenticalAcrossThreadCounts) {
     obs::Registry registry;
     obs::MetricsSession session{registry};
     auto results = sim.sweep_rssi(grid, policy);
-    return std::pair{results,
-                     registry.counter("phy.lora.symbol_errors").value()};
+    return std::pair{results, registry.snapshot().counters};
   };
 
-  auto [serial, serial_errors] = run(exec::ExecPolicy::serial());
+  auto [serial, serial_counters] = run(exec::ExecPolicy::serial());
   ASSERT_EQ(serial.size(), grid.size());
+  ASSERT_TRUE(serial_counters.contains("phy.lora.symbol_errors"));
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    auto [parallel, parallel_errors] =
+    auto [parallel, parallel_counters] =
         run(exec::ExecPolicy::with_threads(threads));
     EXPECT_EQ(parallel, serial) << "results diverged at threads=" << threads;
-    EXPECT_EQ(parallel_errors, serial_errors)
+    EXPECT_EQ(parallel_counters, serial_counters)
         << "telemetry diverged at threads=" << threads;
   }
 }

@@ -46,7 +46,7 @@ TEST(FlightCampaign, InjectedFaultProducesSchemaValidDump) {
   auto deployment = Deployment::campus(deploy_rng, Dbm{14.0}, 4);
   auto image = small_image();
 
-  obs::FlightRecorder flight = obs::FlightRecorder::unbounded();
+  obs::FlightRecorder flight;
   flight.set_dump_path(path);
   {
     obs::FlightSession session{flight};
@@ -92,7 +92,7 @@ TEST(FlightCampaign, CleanCampaignLeavesNoDump) {
   auto deployment = Deployment::campus(deploy_rng, Dbm{14.0}, 4);
   auto image = small_image();
 
-  obs::FlightRecorder flight = obs::FlightRecorder::unbounded();
+  obs::FlightRecorder flight;
   flight.set_dump_path(path);
   {
     obs::FlightSession session{flight};
@@ -112,7 +112,7 @@ TEST(FlightCampaign, SerialAndParallelFlightLogsAreByteIdentical) {
   auto image = small_image();
 
   auto run_with = [&](const exec::ExecPolicy& policy) {
-    obs::FlightRecorder flight = obs::FlightRecorder::unbounded();
+    obs::FlightRecorder flight;
     obs::FlightSession session{flight};
     Rng rng{26};
     auto result =

@@ -49,12 +49,12 @@ TEST(PhyCampaign, ByteIdenticalAcrossThreadCounts) {
     obs::Registry metrics;
     obs::MetricsSession session{metrics};
     auto result = run_phy_campaign(deployment, registry, config, policy);
-    return std::pair{result.per_node,
-                     metrics.counter("phy.lora.trials").value()};
+    return std::pair{result.per_node, metrics.snapshot().counters};
   };
-  auto [serial, serial_trials] = run(exec::ExecPolicy::serial());
+  auto [serial, serial_counters] = run(exec::ExecPolicy::serial());
+  ASSERT_TRUE(serial_counters.contains("phy.lora.trials"));
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    auto [parallel, parallel_trials] =
+    auto [parallel, parallel_counters] =
         run(exec::ExecPolicy::with_threads(threads));
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -64,7 +64,8 @@ TEST(PhyCampaign, ByteIdenticalAcrossThreadCounts) {
           << "node " << serial[i].node_id << " diverged at threads="
           << threads;
     }
-    EXPECT_EQ(parallel_trials, serial_trials);
+    EXPECT_EQ(parallel_counters, serial_counters)
+        << "telemetry diverged at threads=" << threads;
   }
 }
 
