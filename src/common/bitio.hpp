@@ -1,10 +1,9 @@
-// Bit-level readers/writers used by the LVDS framer, LoRa encoding chain and
-// BLE packet builder. Both MSB-first and LSB-first orders appear in the
-// platform (LVDS words are MSB-first, BLE goes over the air LSB-first).
+// Bit writer used by the BLE packet builder, the Sigfox framer and the
+// built-in modem. Both MSB-first and LSB-first orders appear in the
+// platform (Sigfox frames are MSB-first, BLE goes over the air LSB-first).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -34,77 +33,8 @@ class BitWriter {
   [[nodiscard]] const std::vector<bool>& bits() const { return bits_; }
   [[nodiscard]] std::size_t size() const { return bits_.size(); }
 
-  /// Pack to bytes, LSB-first within each byte (BLE air order). Pads the
-  /// final byte with zeros.
-  [[nodiscard]] std::vector<std::uint8_t> to_bytes_lsb_first() const {
-    std::vector<std::uint8_t> out((bits_.size() + 7) / 8, 0);
-    for (std::size_t i = 0; i < bits_.size(); ++i) {
-      if (bits_[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-    }
-    return out;
-  }
-
  private:
   std::vector<bool> bits_;
 };
-
-/// Sequential reader over a bit vector.
-class BitReader {
- public:
-  explicit BitReader(const std::vector<bool>& bits) : bits_(&bits) {}
-
-  [[nodiscard]] bool exhausted() const { return pos_ >= bits_->size(); }
-  [[nodiscard]] std::size_t remaining() const { return bits_->size() - pos_; }
-  [[nodiscard]] std::size_t position() const { return pos_; }
-
-  bool read_bit() {
-    if (exhausted()) throw std::out_of_range("BitReader: past end");
-    return (*bits_)[pos_++];
-  }
-
-  std::uint64_t read_bits_msb_first(int count) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < count; ++i) v = (v << 1) | (read_bit() ? 1u : 0u);
-    return v;
-  }
-
-  std::uint64_t read_bits_lsb_first(int count) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < count; ++i)
-      v |= static_cast<std::uint64_t>(read_bit() ? 1u : 0u) << i;
-    return v;
-  }
-
-  void skip(std::size_t count) {
-    if (pos_ + count > bits_->size())
-      throw std::out_of_range("BitReader::skip past end");
-    pos_ += count;
-  }
-
- private:
-  const std::vector<bool>* bits_;
-  std::size_t pos_ = 0;
-};
-
-/// Expand bytes to bits, LSB-first per byte (BLE air order).
-[[nodiscard]] inline std::vector<bool> bytes_to_bits_lsb_first(
-    std::span<const std::uint8_t> bytes) {
-  std::vector<bool> bits;
-  bits.reserve(bytes.size() * 8);
-  for (std::uint8_t b : bytes)
-    for (int i = 0; i < 8; ++i) bits.push_back((b >> i) & 1u);
-  return bits;
-}
-
-/// Pack bits (LSB-first per byte) back to bytes; size must be a multiple of 8.
-[[nodiscard]] inline std::vector<std::uint8_t> bits_to_bytes_lsb_first(
-    const std::vector<bool>& bits) {
-  if (bits.size() % 8 != 0)
-    throw std::invalid_argument("bits_to_bytes_lsb_first: ragged bit count");
-  std::vector<std::uint8_t> out(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  return out;
-}
 
 }  // namespace tinysdr

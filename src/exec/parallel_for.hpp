@@ -24,9 +24,4 @@ inline RunStatus parallel_for(std::size_t n, const ExecPolicy& policy,
   return WorkerPool::shared().run(n, policy, body);
 }
 
-/// Serial-policy shorthand (still chunked, still cancellable).
-inline RunStatus serial_for(std::size_t n, const WorkerPool::Body& body) {
-  return WorkerPool::shared().run(n, ExecPolicy::serial(), body);
-}
-
 }  // namespace tinysdr::exec

@@ -60,7 +60,7 @@ class WorkerPool {
   /// Spawned worker threads so far (grows on demand, never shrinks).
   [[nodiscard]] std::size_t spawned_workers() const;
 
-  /// Process-wide pool shared by parallel_for / TaskGroup / campaigns.
+  /// Process-wide pool shared by parallel_for and the campaigns.
   [[nodiscard]] static WorkerPool& shared();
 
  private:

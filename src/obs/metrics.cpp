@@ -88,9 +88,22 @@ Histogram::Histogram(HistogramSpec spec) : spec_(spec) {
   counts_.assign(spec_.buckets, 0);
 }
 
+namespace {
+
+// Running min/max that no NaN moves: they are NaN only while every value
+// so far was NaN, and std::min/max keep their first argument against a
+// NaN second one.
+void fold_extremes(double& min, double& max, bool empty, double new_min,
+                   double new_max) {
+  const bool restart = empty || std::isnan(min);
+  min = restart ? new_min : std::min(min, new_min);
+  max = restart ? new_max : std::max(max, new_max);
+}
+
+}  // namespace
+
 void Histogram::observe(double value) {
-  min_ = count_ == 0 ? value : std::min(min_, value);
-  max_ = count_ == 0 ? value : std::max(max_, value);
+  fold_extremes(min_, max_, count_ == 0, value, value);
   ++count_;
   sum_.add(value);
 
@@ -98,7 +111,7 @@ void Histogram::observe(double value) {
     ++underflow_;
     return;
   }
-  if (value >= spec_.hi) {
+  if (!(value < spec_.hi)) {  // also NaN, which fails every comparison
     ++overflow_;
     return;
   }
@@ -155,8 +168,7 @@ void Registry::merge_from(const Registry& shard) {
   for (const auto& [name, h] : shard.histograms_) {
     Histogram& dst = histogram(name, h.spec_);
     if (h.count_ == 0) continue;
-    dst.min_ = dst.count_ == 0 ? h.min_ : std::min(dst.min_, h.min_);
-    dst.max_ = dst.count_ == 0 ? h.max_ : std::max(dst.max_, h.max_);
+    fold_extremes(dst.min_, dst.max_, dst.count_ == 0, h.min_, h.max_);
     dst.count_ += h.count_;
     dst.sum_.add(h.sum_);
     dst.underflow_ += h.underflow_;

@@ -91,6 +91,8 @@ class Histogram {
  public:
   explicit Histogram(HistogramSpec spec = {});
 
+  /// A NaN is counted and summed, lands in the overflow bucket and leaves
+  /// min/max to the other values.
   void observe(double value);
 
   [[nodiscard]] const HistogramSpec& spec() const { return spec_; }

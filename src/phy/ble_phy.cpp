@@ -1,40 +1,38 @@
 #include "phy/ble_phy.hpp"
 
+#include <array>
 #include <cmath>
+
+#include "ble/packet.hpp"
 
 namespace tinysdr::phy {
 
 namespace {
 
-ble::AdvPacket packet_for(const BlePhyConfig& config,
-                          std::span<const std::uint8_t> payload) {
+/// Beacons go out on advertising channel 37 from a fixed advertiser.
+constexpr int kAdvChannel = 37;
+constexpr std::array<std::uint8_t, 6> kAdvAddress{0x12, 0x34, 0x56,
+                                                  0x78, 0x9A, 0xBC};
+
+std::vector<bool> air_bits(std::span<const std::uint8_t> payload) {
   ble::AdvPacket packet;
-  packet.adv_address = config.adv_address;
+  packet.adv_address = kAdvAddress;
   packet.adv_data.assign(payload.begin(), payload.end());
-  return packet;
+  return ble::assemble_air_bits(packet, kAdvChannel);
 }
 
 }  // namespace
 
-BleBeaconTx::BleBeaconTx(BlePhyConfig config)
-    : config_(config), modulator_(config.gfsk) {}
-
 void BleBeaconTx::modulate(std::span<const std::uint8_t> payload,
                            dsp::Samples& out) const {
-  auto bits = ble::assemble_air_bits(packet_for(config_, payload),
-                                     config_.channel_index);
-  auto wave = modulator_.modulate(bits);
+  auto wave = modulator_.modulate(air_bits(payload));
   out.insert(out.end(), wave.begin(), wave.end());
 }
-
-BleBeaconRx::BleBeaconRx(BlePhyConfig config)
-    : config_(config), demod_(config.gfsk) {}
 
 FrameResult BleBeaconRx::demodulate(
     std::span<const dsp::Complex> iq,
     std::span<const std::uint8_t> reference) const {
-  auto reference_bits = ble::assemble_air_bits(
-      packet_for(config_, reference), config_.channel_index);
+  auto reference_bits = air_bits(reference);
   auto bits = demod_.demodulate(iq, demod_.estimate_timing(iq));
   double ber = ble::aligned_ber(reference_bits, bits);
   FrameResult r;

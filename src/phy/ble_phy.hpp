@@ -7,10 +7,7 @@
 // CC2650 BER measurement does.
 #pragma once
 
-#include <array>
-
 #include "ble/gfsk.hpp"
-#include "ble/packet.hpp"
 #include "phy/phy.hpp"
 
 namespace tinysdr::phy {
@@ -20,21 +17,11 @@ namespace tinysdr::phy {
 /// datasheet sensitivity as the paper's Fig. 12 shows.
 inline constexpr double kBleSystemNf = 4.0;
 
-struct BlePhyConfig {
-  ble::GfskConfig gfsk{};
-  int channel_index = 37;
-  std::array<std::uint8_t, 6> adv_address{0x12, 0x34, 0x56,
-                                          0x78, 0x9A, 0xBC};
-  double system_noise_figure_db = kBleSystemNf;
-};
-
 class BleBeaconTx final : public PhyTx {
  public:
-  explicit BleBeaconTx(BlePhyConfig config = {});
-
   [[nodiscard]] Protocol protocol() const override { return Protocol::kBle; }
   [[nodiscard]] Hertz sample_rate() const override {
-    return config_.gfsk.sample_rate();
+    return ble::GfskConfig{}.sample_rate();
   }
   /// AdvData is capped at 31 bytes by the spec.
   [[nodiscard]] std::size_t max_payload() const override { return 31; }
@@ -42,24 +29,20 @@ class BleBeaconTx final : public PhyTx {
                 dsp::Samples& out) const override;
 
  private:
-  BlePhyConfig config_;
   ble::GfskModulator modulator_;
 };
 
 class BleBeaconRx final : public PhyRx {
  public:
-  explicit BleBeaconRx(BlePhyConfig config = {});
-
   [[nodiscard]] Protocol protocol() const override { return Protocol::kBle; }
   [[nodiscard]] Hertz sample_rate() const override {
-    return config_.gfsk.sample_rate();
+    return ble::GfskConfig{}.sample_rate();
   }
   [[nodiscard]] FrameResult demodulate(
       std::span<const dsp::Complex> iq,
       std::span<const std::uint8_t> reference) const override;
 
  private:
-  BlePhyConfig config_;
   ble::GfskDemodulator demod_;
 };
 

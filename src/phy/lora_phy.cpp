@@ -28,8 +28,7 @@ std::vector<std::uint32_t> symbols_from_bytes(
 LoraPacketTx::LoraPacketTx(LoraPhyConfig config)
     : config_(config),
       modulator_(config.params, config.rate()),
-      sx1276_(config.params),
-      dac_(config.dac_bits > 0 ? config.dac_bits : 13, 1.0f) {}
+      sx1276_(config.params) {}
 
 void LoraPacketTx::modulate(std::span<const std::uint8_t> payload,
                             dsp::Samples& out) const {
@@ -40,8 +39,7 @@ void LoraPacketTx::modulate(std::span<const std::uint8_t> payload,
   }
   const std::size_t start = out.size();
   modulator_.modulate(payload, out);
-  if (config_.dac_bits > 0)
-    dac_.roundtrip_in_place(std::span{out}.subspan(start));
+  dac_.roundtrip_in_place(std::span{out}.subspan(start));
 }
 
 // ------------------------------------------------------------- packet RX

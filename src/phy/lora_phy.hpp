@@ -33,11 +33,9 @@ struct LoraPhyConfig {
   Hertz sample_rate{0.0};
   /// Demodulator front-end FIR length (paper: 14).
   std::size_t fir_taps = 14;
-  /// TX DAC resolution for the tinySDR path; 0 disables quantization.
-  int dac_bits = 13;
-  /// Model the SX1276 baseline transmitter instead of tinySDR's DAC path.
+  /// Model the SX1276 baseline transmitter instead of tinySDR's 13-bit
+  /// DAC path.
   bool sx1276_tx = false;
-  double system_noise_figure_db = kLoraSystemNf;
 
   [[nodiscard]] Hertz rate() const {
     return sample_rate.value() > 0.0 ? sample_rate : params.bandwidth;

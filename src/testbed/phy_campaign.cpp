@@ -1,6 +1,5 @@
 #include "testbed/phy_campaign.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -65,8 +64,7 @@ PhyCampaignResult run_phy_campaign(const Deployment& deployment,
 
         phy::TrialPlan plan;
         plan.trials = config.trials_per_node;
-        plan.payload_bytes =
-            std::min(config.payload_bytes, entry.max_payload);
+        plan.payload_bytes = config.payload_bytes;
         plan.pad_samples = entry.pad_samples;
         plan.noise_figure_db = entry.system_noise_figure_db;
         plan.base_seed = node_link_seed(config.base_seed, node.id);

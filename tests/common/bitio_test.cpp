@@ -34,49 +34,5 @@ TEST(BitWriter, RejectsBadCounts) {
   EXPECT_THROW(w.push_bits_lsb_first(0, 65), std::invalid_argument);
 }
 
-TEST(BitReader, RoundTripMsb) {
-  BitWriter w;
-  w.push_bits_msb_first(0xDEAD, 16);
-  BitReader r{w.bits()};
-  EXPECT_EQ(r.read_bits_msb_first(16), 0xDEADu);
-  EXPECT_TRUE(r.exhausted());
-}
-
-TEST(BitReader, RoundTripLsb) {
-  BitWriter w;
-  w.push_bits_lsb_first(0xBEEF, 16);
-  BitReader r{w.bits()};
-  EXPECT_EQ(r.read_bits_lsb_first(16), 0xBEEFu);
-}
-
-TEST(BitReader, ThrowsPastEnd) {
-  BitWriter w;
-  w.push_bit(true);
-  BitReader r{w.bits()};
-  r.read_bit();
-  EXPECT_THROW(r.read_bit(), std::out_of_range);
-  EXPECT_THROW(r.skip(1), std::out_of_range);
-}
-
-TEST(BytesBits, RoundTrip) {
-  std::vector<std::uint8_t> bytes{0x00, 0xFF, 0xA5, 0x3C};
-  auto bits = bytes_to_bits_lsb_first(bytes);
-  ASSERT_EQ(bits.size(), 32u);
-  EXPECT_EQ(bits_to_bytes_lsb_first(bits), bytes);
-}
-
-TEST(BytesBits, RaggedBitsThrow) {
-  std::vector<bool> bits(9, false);
-  EXPECT_THROW(bits_to_bytes_lsb_first(bits), std::invalid_argument);
-}
-
-TEST(BitWriter, PackLsbFirstPadsFinalByte) {
-  BitWriter w;
-  w.push_bits_lsb_first(0b111, 3);
-  auto bytes = w.to_bytes_lsb_first();
-  ASSERT_EQ(bytes.size(), 1u);
-  EXPECT_EQ(bytes[0], 0x07);
-}
-
 }  // namespace
 }  // namespace tinysdr

@@ -142,8 +142,9 @@ TEST(CancelSweep, PartialResultsMatchTheFullRunPointForPoint) {
   std::vector<PointResult> partial;
   (void)f.sim().sweep(f.points, partial, policy);
   for (std::size_t i = 0; i < partial.size(); ++i)
-    if (partial[i].frames != 0)
+    if (partial[i].frames != 0) {
       EXPECT_EQ(partial[i], full[i]) << "point " << i;
+    }
 }
 
 TEST(CancelSweep, LegacySweepStaysCompleteAndEquivalent) {

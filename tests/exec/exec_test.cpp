@@ -11,7 +11,6 @@
 #include "exec/cancel.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/seed.hpp"
-#include "exec/task_group.hpp"
 #include "exec/worker_pool.hpp"
 
 namespace tinysdr::exec {
@@ -238,29 +237,6 @@ TEST(ParallelFor, RejectsAbsurdIndexSpace)
   EXPECT_THROW((void)parallel_for(std::size_t{1} << 33, ExecPolicy::serial(),
                                   [](std::size_t, std::size_t) {}),
                std::invalid_argument);
-}
-
-// ------------------------------------------------------------- TaskGroup
-
-TEST(TaskGroup, RunsAllTasksAndClears) {
-  TaskGroup group;
-  std::vector<std::atomic<int>> hits(10);
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    group.add([&hits, i] { hits[i].fetch_add(1); });
-  EXPECT_EQ(group.size(), 10u);
-
-  auto status = group.run(ExecPolicy::with_threads(4));
-  EXPECT_TRUE(status.complete());
-  EXPECT_EQ(status.items_completed, 10u);
-  EXPECT_TRUE(group.empty());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskGroup, EmptyGroupCompletes) {
-  TaskGroup group;
-  auto status = group.run();
-  EXPECT_TRUE(status.complete());
-  EXPECT_EQ(status.items_completed, 0u);
 }
 
 // ------------------------------------------------------------ WorkerPool

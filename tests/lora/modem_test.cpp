@@ -150,7 +150,9 @@ TEST(Demodulator, FailsFarBelowSensitivity) {
   auto wave = mod.modulate(payload_bytes());
   auto noisy = chan.apply(wave, Dbm{-140.0});  // 14 dB below sensitivity
   auto result = demod.receive(noisy);
-  if (result) EXPECT_FALSE(result->packet.crc_valid);
+  if (result) {
+    EXPECT_FALSE(result->packet.crc_valid);
+  }
 }
 
 TEST(Demodulator, SmallCfoTolerated) {

@@ -79,7 +79,9 @@ TEST(PacketCodec, HeaderChecksumCatchesCorruption) {
   if (!decoded.header_valid) SUCCEED();
   // Never silently mis-parse into a *valid* wrong packet: if header valid,
   // payload must still CRC-check.
-  if (decoded.header_valid) EXPECT_TRUE(decoded.crc_valid);
+  if (decoded.header_valid) {
+    EXPECT_TRUE(decoded.crc_valid);
+  }
 }
 
 TEST(PacketCodec, CrcCatchesPayloadCorruption) {

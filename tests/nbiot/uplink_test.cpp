@@ -88,7 +88,9 @@ TEST(SingleToneModem, FailsDeepBelowFloor) {
   channel::AwgnChannel chan{cfg.sample_rate(), 6.0, rng};
   auto noisy = chan.apply(iq, Dbm{-135.0});
   auto rx = modem.demodulate(noisy);
-  if (rx) EXPECT_NE(*rx, payload_bytes());
+  if (rx) {
+    EXPECT_NE(*rx, payload_bytes());
+  }
 }
 
 TEST(SingleToneModem, RejectsOversizePayload) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -44,6 +45,35 @@ TEST(MetricsEdge, DegenerateRangeHistogramNeverCrashes) {
   h.observe(2.0);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.underflow() + h.overflow() + h.bucket_count(0), 3u);
+}
+
+TEST(MetricsEdge, NanGoesToOverflowAndLeavesMinMax) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> orders{{nan, 0.2, 0.7},
+                                                {0.2, 0.7, nan}};
+  const HistogramSpec spec = HistogramSpec::linear(0.0, 1.0, 4);
+  for (const auto& values : orders) {
+    Histogram h(spec);
+    for (double v : values) h.observe(v);
+    std::uint64_t binned = h.underflow() + h.overflow();
+    for (std::uint64_t c : h.counts()) binned += c;
+    EXPECT_EQ(binned, h.count());
+    EXPECT_EQ(h.overflow(), 1u);
+    EXPECT_EQ(h.min(), 0.2);
+    EXPECT_EQ(h.max(), 0.7);
+  }
+  // A NaN-only shard merges in either order without moving min/max.
+  for (bool nan_first : {true, false}) {
+    Registry nan_shard, number_shard, merged;
+    nan_shard.histogram("h", spec).observe(nan);
+    number_shard.histogram("h", spec).observe(0.2);
+    number_shard.histogram("h", spec).observe(0.7);
+    merged.merge_from(nan_first ? nan_shard : number_shard);
+    merged.merge_from(nan_first ? number_shard : nan_shard);
+    const Histogram& h = merged.histogram("h", spec);
+    EXPECT_EQ(h.min(), 0.2);
+    EXPECT_EQ(h.max(), 0.7);
+  }
 }
 
 // ------------------------------------------------------------ merge edges

@@ -61,7 +61,9 @@ TEST(BuiltinFskModem, FailsInHeavyNoise) {
   channel::AwgnChannel chan{cfg.sample_rate(), 6.0, rng};
   auto noisy = chan.apply(iq, Dbm{-125.0});  // far below the FSK floor
   auto rx = modem.demodulate(noisy);
-  if (rx) EXPECT_NE(*rx, payload_bytes());
+  if (rx) {
+    EXPECT_NE(*rx, payload_bytes());
+  }
 }
 
 TEST(BuiltinFskModem, CorruptedFcsRejected) {
@@ -71,7 +73,9 @@ TEST(BuiltinFskModem, CorruptedFcsRejected) {
   for (std::size_t i = iq.size() / 2; i < iq.size() / 2 + 64; ++i)
     iq[i] = std::conj(iq[i]);
   auto rx = modem.demodulate(iq);
-  if (rx) EXPECT_NE(*rx, payload_bytes());
+  if (rx) {
+    EXPECT_NE(*rx, payload_bytes());
+  }
 }
 
 TEST(BuiltinFskModem, AirtimeAt50kbps) {

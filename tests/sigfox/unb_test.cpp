@@ -83,7 +83,9 @@ TEST(UnbModem, FailsFarBelowFloor) {
   channel::AwgnChannel chan{cfg.sample_rate(), 6.0, rng};
   auto noisy = chan.apply(iq, Dbm{-148.0});
   auto rx = modem.demodulate(noisy);
-  if (rx) EXPECT_NE(*rx, payload_bytes());
+  if (rx) {
+    EXPECT_NE(*rx, payload_bytes());
+  }
 }
 
 TEST(UnbModem, AirtimeIsSeconds) {

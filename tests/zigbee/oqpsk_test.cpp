@@ -162,7 +162,9 @@ TEST(OqpskModem, FailsDeepBelowSensitivity) {
   channel::AwgnChannel chan{cfg.sample_rate(), 6.0, rng};
   auto noisy = chan.apply(iq, Dbm{-110.0});
   auto rx = modem.demodulate(noisy);
-  if (rx) EXPECT_NE(*rx, psdu_bytes());
+  if (rx) {
+    EXPECT_NE(*rx, psdu_bytes());
+  }
 }
 
 TEST(OqpskModem, AirtimeAt250kbps) {
