@@ -3,6 +3,13 @@
 // The LoRa demodulator (paper Fig. 6b) uses a Lattice FFT IP core sized
 // 2^SF; this is our software equivalent. Plans are cached per size the way
 // the FPGA instantiates one core per configuration.
+//
+// The scalar decimation-in-time loop (stage_scalar in fft.cpp) defines
+// the output bytes. On x86-64 CPUs with AVX2, chosen once at run time by
+// __builtin_cpu_supports, stages with half >= 4 run four butterflies per
+// iteration with the same products and sums, so the bytes do not depend
+// on the CPU (pinned by tests/dsp/fft_pin_test.cpp). Both loops read one
+// table that holds each stage's twiddles contiguously.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +33,8 @@ class FftPlan {
  private:
   std::size_t size_;
   std::vector<std::size_t> bitrev_;
+  /// Stage `half` (1, 2, 4, ..., size/2) reads its twiddles
+  /// exp(-2πik / 2·half), k < half, from offset half - 1.
   std::vector<Complex> twiddles_;
 };
 

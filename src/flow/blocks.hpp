@@ -142,9 +142,15 @@ class QuantizerBlock : public Block {
       : Block("quantizer"), quantizer_(bits, 1.0f) {}
 
   WorkResult work(const ReadView& in, WriteView& out) override {
-    std::size_t n = std::min(in.size(), out.size());
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = quantizer_.dequantize(quantizer_.quantize(in[i]));
+    const std::size_t n = std::min(in.size(), out.size());
+    for (std::size_t done = 0; done < n;) {
+      const auto seg = in.chunk(done, n - done);
+      out.write(done, seg);
+      done += seg.size();
+    }
+    const std::size_t head = std::min(n, out.first().size());
+    quantizer_.roundtrip_in_place(out.first().first(head));
+    quantizer_.roundtrip_in_place(out.second().first(n - head));
     return {n, n};
   }
 

@@ -120,7 +120,9 @@ Seconds At86rf215::retune(Hertz f) {
 dsp::Samples At86rf215::transmit(const dsp::Samples& baseband) const {
   if (state_ != RadioState::kTx)
     throw std::logic_error("At86rf215: transmit while not in TX");
-  return quantizer_.roundtrip(baseband);
+  dsp::Samples out = baseband;
+  quantizer_.roundtrip_in_place(out);
+  return out;
 }
 
 dsp::Samples At86rf215::receive(const dsp::Samples& rf) const {
@@ -130,18 +132,18 @@ dsp::Samples At86rf215::receive(const dsp::Samples& rf) const {
   // AGC: scale the block so its RMS sits at 1/4 full scale (12 dB backoff,
   // leaving headroom for the signal's crest factor), then quantize.
   double power = dsp::mean_power(rf);
-  dsp::Samples scaled = rf;
+  dsp::Samples out = rf;
   if (power > 0.0) {
     auto gain = static_cast<float>(0.25 / std::sqrt(power));
-    for (auto& s : scaled) s *= gain;
+    for (auto& s : out) s *= gain;
   }
-  dsp::Samples quantized = quantizer_.roundtrip(scaled);
+  quantizer_.roundtrip_in_place(out);
   // Undo the AGC gain so downstream processing sees calibrated amplitudes.
   if (power > 0.0) {
     auto inv = static_cast<float>(std::sqrt(power) / 0.25);
-    for (auto& s : quantized) s *= inv;
+    for (auto& s : out) s *= inv;
   }
-  return quantized;
+  return out;
 }
 
 }  // namespace tinysdr::radio

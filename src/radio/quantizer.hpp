@@ -4,6 +4,12 @@
 // (paper §3.2.1). Both directions matter: the demodulator sees ADC-quantized
 // samples and the modulator's waveform passes through the DAC. We model a
 // mid-tread uniform quantizer with saturation.
+//
+// The scalar quantize()/dequantize() pair defines the round trip's bytes.
+// roundtrip_in_place() runs it eight floats per iteration on x86-64 CPUs
+// with AVX2, chosen once at run time by __builtin_cpu_supports, with the
+// same division, rounding and saturation; blocks holding a NaN and the
+// tail run the scalar pair (pinned by tests/radio/quantizer_pin_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -32,19 +38,9 @@ class IqQuantizer {
   /// Convert a code back to an analog value.
   [[nodiscard]] float dequantize(std::int32_t code) const;
 
-  /// Quantize a complex sample to a pair of codes.
-  struct CodePair {
-    std::int32_t i;
-    std::int32_t q;
-  };
-  [[nodiscard]] CodePair quantize(dsp::Complex sample) const;
-  [[nodiscard]] dsp::Complex dequantize(CodePair codes) const;
-
-  /// Round-trip an entire block through the quantizer (what the ADC/DAC
-  /// does to a waveform).
-  [[nodiscard]] dsp::Samples roundtrip(const dsp::Samples& in) const;
-
-  /// roundtrip() over a block where it lives (a TX buffer being built).
+  /// Round-trip a block through the quantizer where it lives (what the
+  /// ADC/DAC does to a waveform): each rail becomes
+  /// dequantize(quantize(rail)).
   void roundtrip_in_place(std::span<dsp::Complex> block) const;
 
  private:

@@ -16,8 +16,8 @@ TEST(Dbm, ZeroDbmIsOneMilliwatt) {
 }
 
 TEST(Dbm, FromNonPositiveThrows) {
-  EXPECT_THROW(Dbm::from_milliwatts(0.0), std::domain_error);
-  EXPECT_THROW(Dbm::from_milliwatts(-1.0), std::domain_error);
+  EXPECT_THROW((void)Dbm::from_milliwatts(0.0), std::domain_error);
+  EXPECT_THROW((void)Dbm::from_milliwatts(-1.0), std::domain_error);
 }
 
 TEST(Dbm, DbOffsetArithmetic) {
@@ -68,7 +68,7 @@ TEST(Battery, EnergyAndLifetime) {
 
 TEST(Battery, LifetimeRejectsNonPositiveDraw) {
   BatteryCapacity battery{1000.0, 3.7};
-  EXPECT_THROW(battery.lifetime_at(Milliwatts{0.0}), std::domain_error);
+  EXPECT_THROW((void)battery.lifetime_at(Milliwatts{0.0}), std::domain_error);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(PhaseRanging, InputValidation) {
   Rng rng{4};
   EXPECT_THROW(core::simulate_phase_sweep(cfg, -1.0, 0.0, rng),
                std::invalid_argument);
-  EXPECT_THROW(core::estimate_range(cfg, {}), std::invalid_argument);
+  EXPECT_THROW((void)core::estimate_range(cfg, {}), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ backscatter

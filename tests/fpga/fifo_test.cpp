@@ -23,7 +23,7 @@ TEST(SampleFifo, FifoOrder) {
 
 TEST(SampleFifo, UnderflowThrows) {
   SampleFifo fifo{64};
-  EXPECT_THROW(fifo.pop(), std::underflow_error);
+  EXPECT_THROW((void)fifo.pop(), std::underflow_error);
 }
 
 TEST(SampleFifo, OverflowDropsAndCounts) {

@@ -73,7 +73,7 @@ TEST(Hamming, Cr45DetectsSingleBitError) {
 }
 
 TEST(Hamming, RejectsNonNibble) {
-  EXPECT_THROW(hamming_encode(0x10, CodingRate::kCr45),
+  EXPECT_THROW((void)hamming_encode(0x10, CodingRate::kCr45),
                std::invalid_argument);
 }
 

@@ -164,7 +164,7 @@ TEST(AmortizedPower, DailyUpdateMicrowatts) {
   report.total_energy = Millijoules{6144.0};
   Milliwatts avg = amortized_update_power(report, Seconds{86400.0});
   EXPECT_NEAR(avg.microwatts(), 71.0, 1.0);
-  EXPECT_THROW(amortized_update_power(report, Seconds{0.0}),
+  EXPECT_THROW((void)amortized_update_power(report, Seconds{0.0}),
                std::invalid_argument);
 }
 

@@ -93,7 +93,7 @@ TEST(Registry, DuplicateIdThrows) {
   const auto& lora = Registry::builtin().at(Protocol::kLora);
   r.add(lora);
   EXPECT_THROW(r.add(lora), std::invalid_argument);
-  EXPECT_THROW(r.at(Protocol::kBle), std::out_of_range);
+  EXPECT_THROW((void)r.at(Protocol::kBle), std::out_of_range);
   EXPECT_EQ(r.find(Protocol::kBle), nullptr);
 }
 

@@ -107,9 +107,9 @@ TEST(PlatformPower, DutyCycledAverageInterpolates) {
 
 TEST(PlatformPower, DutyCycleRejectsBadFraction) {
   PlatformPowerModel model;
-  EXPECT_THROW(model.duty_cycled_average(Activity::kSleep, 1.5),
+  EXPECT_THROW((void)model.duty_cycled_average(Activity::kSleep, 1.5),
                std::invalid_argument);
-  EXPECT_THROW(model.duty_cycled_average(Activity::kSleep, -0.1),
+  EXPECT_THROW((void)model.duty_cycled_average(Activity::kSleep, -0.1),
                std::invalid_argument);
 }
 

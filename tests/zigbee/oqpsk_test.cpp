@@ -49,7 +49,7 @@ TEST(ChipTable, ChipsForRoundTrip) {
     EXPECT_EQ(decided, s);
     EXPECT_EQ(dist, 0);
   }
-  EXPECT_THROW(chips_for(16), std::invalid_argument);
+  EXPECT_THROW((void)chips_for(16), std::invalid_argument);
 }
 
 TEST(ChipTable, SingleChipErrorsCorrected) {
