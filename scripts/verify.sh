@@ -186,7 +186,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j"$(nproc)"
   ctest --preset tsan -j"$(nproc)" \
-    -R "SeedStreams|ParallelFor|WorkerPool|ParallelCampaign|Campaign|FaultCampaign|SpscRing|FlowThreaded"
+    -R "SeedStreams|ParallelFor|WorkerPool|RunPinned|CancelSweep|ParallelCampaign|Campaign|FaultCampaign|SpscRing|FlowThreaded"
 fi
 
 echo "verify: OK"

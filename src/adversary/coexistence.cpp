@@ -48,10 +48,7 @@ CoexistenceMatrix run_coexistence_matrix(const CoexistenceConfig& config,
 
   obs::ItemShards shards{jobs.size()};
 
-  exec::ExecPolicy p = policy;
-  if (p.grain == 0) p.grain = 1;  // one cell's trial loop is a heavy item
-
-  (void)exec::parallel_for(jobs.size(), p, [&](std::size_t j, std::size_t) {
+  (void)exec::parallel_for(jobs.size(), policy, [&](std::size_t j) {
     auto scope = shards.enter(j);
     const Job& job = jobs[j];
     const phy::RegisteredPhy& victim = entries[job.victim];

@@ -19,14 +19,11 @@ void run_pinned(std::size_t count,
   }
 
   if (!in_parallel_region() && count <= kMaxThreads) {
-    // threads = count and grain = 1 give every participant a one-item
-    // slice; a participant only claims another task after its current one
-    // returned, so at any moment each live task has a thread to itself.
-    ExecPolicy policy;
-    policy.threads = count;
-    policy.grain = 1;
-    (void)WorkerPool::shared().run(
-        count, policy, [&](std::size_t i, std::size_t) { task(i); });
+    // One participant per task, and a participant claims another task
+    // only after its current one returned, so at any moment each live
+    // task has a thread to itself.
+    (void)WorkerPool::shared().run(count, ExecPolicy::with_threads(count),
+                                   task);
     return;
   }
 

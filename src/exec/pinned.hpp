@@ -25,12 +25,12 @@ namespace tinysdr::exec {
 /// flow scheduler catches everything and poisons its rings) so every task
 /// returns; the exception still propagates from here afterwards.
 ///
-/// Uses the shared WorkerPool (threads = count, grain = 1: one one-item
-/// slice per participant, claimed only after the claimer's previous item
-/// completed) when that yields a dedicated thread per task; falls back to
-/// dedicated jthreads when called from inside a pool region (nested pool
-/// regions run inline — fatal for blocking tasks) or when count exceeds
-/// the pool's thread clamp.
+/// Uses the shared WorkerPool with threads = count when that yields a
+/// dedicated thread per task: a participant claims its next task only
+/// after its current one returned. Falls back to dedicated jthreads when
+/// called from inside a pool region (nested pool regions run inline —
+/// fatal for blocking tasks) or when count exceeds the pool's thread
+/// clamp.
 void run_pinned(std::size_t count,
                 const std::function<void(std::size_t)>& task);
 

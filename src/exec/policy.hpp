@@ -1,5 +1,5 @@
-// Execution policy for parallel regions: how many workers, how work is
-// chunked, and the cancellation / deadline budget the region runs under.
+// Execution policy for parallel regions: how many workers, and the
+// cancellation / deadline budget the region runs under.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +33,9 @@ struct ExecPolicy {
   /// 0 = resolve from the TINYSDR_THREADS environment variable, falling
   /// back to std::thread::hardware_concurrency().
   std::size_t threads = 0;
-  /// Items a worker claims per grab; 0 = auto (max(1, n / (8 * threads))).
-  /// Heavy, irregular items (one OTA update per index) want grain 1.
-  std::size_t grain = 0;
-  /// Checked between chunks; cancelling stops new items from starting.
+  /// Checked before every claim; cancelling stops new items from starting.
   CancellationToken cancel{};
-  /// Wall-clock budget for the whole region, checked between chunks.
+  /// Wall-clock budget for the whole region, checked before every claim.
   std::optional<Seconds> deadline{};
 
   [[nodiscard]] static ExecPolicy serial() { return ExecPolicy{.threads = 1}; }

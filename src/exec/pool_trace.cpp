@@ -62,7 +62,7 @@ std::uint64_t next_region_id() {
   return state().next_region.fetch_add(1, std::memory_order_relaxed);
 }
 
-void chunk(std::uint64_t region_id, std::size_t begin, std::size_t end,
+void chunk(std::uint64_t region_id, std::size_t index,
            std::size_t participant, double start_us, double end_us) {
   PoolTraceState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -74,8 +74,7 @@ void chunk(std::uint64_t region_id, std::size_t begin, std::size_t end,
   t->set_time(Seconds::from_microseconds(start_us));
   t->flow_step("pool", "dispatch", region_flow_id(region_id));
   std::vector<obs::TraceArg> args;
-  args.push_back(obs::TraceArg::num("begin", static_cast<double>(begin)));
-  args.push_back(obs::TraceArg::num("end", static_cast<double>(end)));
+  args.push_back(obs::TraceArg::num("index", static_cast<double>(index)));
   t->complete("pool", "chunk", Seconds::from_microseconds(start_us),
               Seconds::from_microseconds(end_us - start_us),
               std::move(args));

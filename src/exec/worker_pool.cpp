@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <stdexcept>
 
 #include "exec/pool_trace.hpp"
 #include "obs/flight.hpp"
@@ -11,22 +9,6 @@
 namespace tinysdr::exec {
 
 namespace {
-
-/// Pack a half-open index range into one atomic word: begin in the high
-/// 32 bits, end in the low 32. A single CAS claims from either side.
-constexpr std::uint64_t pack_range(std::uint32_t begin, std::uint32_t end) {
-  return (static_cast<std::uint64_t>(begin) << 32) | end;
-}
-constexpr std::uint32_t range_begin(std::uint64_t packed) {
-  return static_cast<std::uint32_t>(packed >> 32);
-}
-constexpr std::uint32_t range_end(std::uint64_t packed) {
-  return static_cast<std::uint32_t>(packed);
-}
-
-struct alignas(64) WorkerSlice {
-  std::atomic<std::uint64_t> range{0};
-};
 
 /// True while the calling thread is executing a region body; nested
 /// parallel regions fall back to inline serial execution.
@@ -38,10 +20,10 @@ bool in_parallel_region() { return t_in_region; }
 
 struct WorkerPool::Job {
   std::size_t n = 0;
-  std::size_t grain = 1;
   std::size_t participants = 1;
   const Body* body = nullptr;
-  std::vector<WorkerSlice> slices;  ///< one per participant
+  /// Next unclaimed index; may run past n by at most `participants`.
+  alignas(64) std::atomic<std::size_t> next{0};
 
   CancellationToken cancel;
   bool has_deadline = false;
@@ -117,72 +99,15 @@ bool WorkerPool::should_stop(Job& job) {
 }
 
 void WorkerPool::work(Job& job, std::size_t participant) {
-  const std::size_t p_count = job.participants;
-  auto& own = job.slices[participant].range;
-
-  auto claim_front = [&](std::atomic<std::uint64_t>& slot,
-                         std::uint32_t take_at_most,
-                         std::uint32_t& out_begin,
-                         std::uint32_t& out_end) -> bool {
-    std::uint64_t cur = slot.load(std::memory_order_acquire);
-    while (true) {
-      std::uint32_t b = range_begin(cur), e = range_end(cur);
-      if (b >= e) return false;
-      std::uint32_t take = std::min<std::uint32_t>(take_at_most, e - b);
-      if (slot.compare_exchange_weak(cur, pack_range(b + take, e),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        out_begin = b;
-        out_end = b + take;
-        return true;
-      }
-    }
-  };
-
   try {
     while (!should_stop(job)) {
-      std::uint32_t b = 0, e = 0;
-      bool got =
-          claim_front(own, static_cast<std::uint32_t>(job.grain), b, e);
-      if (!got) {
-        // Own slice dry: steal the back half of some victim's remainder.
-        for (std::size_t off = 1; off < p_count && !got; ++off) {
-          auto& victim = job.slices[(participant + off) % p_count].range;
-          std::uint64_t cur = victim.load(std::memory_order_acquire);
-          while (true) {
-            std::uint32_t vb = range_begin(cur), ve = range_end(cur);
-            if (vb >= ve) break;
-            std::uint32_t keep = (ve - vb) / 2;  // victim keeps the front
-            std::uint32_t sb = vb + keep;
-            if (victim.compare_exchange_weak(cur, pack_range(vb, sb),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-              std::uint32_t take = std::min<std::uint32_t>(
-                  static_cast<std::uint32_t>(job.grain), ve - sb);
-              b = sb;
-              e = sb + take;
-              // Park any leftover in our own (empty) slice so other
-              // thieves can keep load-balancing it.
-              if (sb + take < ve)
-                own.store(pack_range(sb + take, ve),
-                          std::memory_order_release);
-              got = true;
-              break;
-            }
-          }
-        }
-      }
-      if (!got) return;  // no work anywhere
-      const double chunk_start =
-          job.traced ? pool_trace::now_us() : 0.0;
-      std::size_t ran = 0;
-      for (std::uint32_t i = b; i < e; ++i) {
-        (*job.body)(i, participant);
-        ++ran;
-      }
-      job.completed.fetch_add(ran, std::memory_order_relaxed);
+      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= job.n) return;
+      const double start = job.traced ? pool_trace::now_us() : 0.0;
+      (*job.body)(i);
+      job.completed.fetch_add(1, std::memory_order_relaxed);
       if (job.traced)
-        pool_trace::chunk(job.trace_id, b, e, participant, chunk_start,
+        pool_trace::chunk(job.trace_id, i, participant, start,
                           pool_trace::now_us());
     }
   } catch (...) {
@@ -215,9 +140,6 @@ void WorkerPool::worker_main(std::stop_token stop, std::size_t index) {
 
 RunStatus WorkerPool::run(std::size_t n, const ExecPolicy& policy,
                           const Body& body) {
-  if (n > std::numeric_limits<std::uint32_t>::max())
-    throw std::invalid_argument("WorkerPool::run: index space > 2^32");
-
   Job job;
   job.n = n;
   job.body = &body;
@@ -235,21 +157,6 @@ RunStatus WorkerPool::run(std::size_t n, const ExecPolicy& policy,
   // Nested regions and trivial spans run inline on the caller.
   if (t_in_region || n <= 1) threads = 1;
   job.participants = std::min(threads, std::max<std::size_t>(n, 1));
-  job.grain = policy.grain != 0
-                  ? policy.grain
-                  : std::max<std::size_t>(1, n / (8 * job.participants));
-
-  // One contiguous slice per participant; participant p gets
-  // [p*n/P, (p+1)*n/P) so slices differ in size by at most one item.
-  job.slices = std::vector<WorkerSlice>(job.participants);
-  for (std::size_t p = 0; p < job.participants; ++p) {
-    std::uint32_t begin =
-        static_cast<std::uint32_t>(n * p / job.participants);
-    std::uint32_t end =
-        static_cast<std::uint32_t>(n * (p + 1) / job.participants);
-    job.slices[p].range.store(pack_range(begin, end),
-                              std::memory_order_relaxed);
-  }
 
   double region_start = 0.0;
   if (pool_trace::active()) {
@@ -260,7 +167,7 @@ RunStatus WorkerPool::run(std::size_t n, const ExecPolicy& policy,
 
   const bool was_in_region = t_in_region;
   if (job.participants == 1) {
-    // Inline fast path: no pool involvement, same chunking semantics.
+    // Inline fast path: no pool involvement, same claim rule.
     t_in_region = true;
     work(job, 0);
     t_in_region = was_in_region;

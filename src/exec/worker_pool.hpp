@@ -1,14 +1,13 @@
-// Fixed-size worker pool with chunked work-stealing over an index space.
+// Fixed-size worker pool over an index space.
 //
 // One pool of std::jthread workers serves every parallel region in the
 // process (campaign passes, benches, tests), growing lazily to the
 // largest thread count ever requested and parking between regions. A
-// region (`run`) splits [0, n) into one contiguous slice per participant;
-// each participant pops grain-sized chunks off the front of its own
-// slice, and when its slice runs dry it steals the back half of a
-// victim's remaining slice. Items are claimed by CAS on a packed
-// (begin, end) word, so every index runs exactly once no matter how the
-// stealing interleaves.
+// region (`run`) shares one atomic cursor among its participants: each
+// checks cancellation and the deadline, claims the next index with
+// fetch_add(1), runs it, and repeats until the cursor passes n. Every
+// index therefore runs exactly once, and a participant claims its next
+// item only after its current one returned.
 //
 // Determinism contract: the pool guarantees each index runs exactly once
 // and that all body side effects are visible to the caller when run()
@@ -40,10 +39,8 @@ namespace tinysdr::exec {
 
 class WorkerPool {
  public:
-  /// Body of a parallel region: body(index, participant). `participant`
-  /// is in [0, participants) and is stable for the duration of one chunk
-  /// (use it to index per-worker scratch shards).
-  using Body = std::function<void(std::size_t, std::size_t)>;
+  /// Body of a parallel region: body(index) for each index in [0, n).
+  using Body = std::function<void(std::size_t)>;
 
   WorkerPool() = default;
   ~WorkerPool();
@@ -53,8 +50,9 @@ class WorkerPool {
 
   /// Run body over [0, n) under the given policy. Blocks until every
   /// participant has drained; rethrows the first body exception. The
-  /// calling thread is participant 0. Reentrant calls (from inside a
-  /// body) degrade to inline serial execution on the calling thread.
+  /// calling thread is one of the participants. Reentrant calls (from
+  /// inside a body) degrade to inline serial execution on the calling
+  /// thread.
   RunStatus run(std::size_t n, const ExecPolicy& policy, const Body& body);
 
   /// Spawned worker threads so far (grows on demand, never shrinks).

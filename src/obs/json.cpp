@@ -123,9 +123,13 @@ class Parser {
     JsonValue v;
     switch (src_[pos_]) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (depth_ == JsonValue::kMaxDepth) return std::nullopt;
+        ++depth_;
+        auto nested = src_[pos_] == '{' ? object() : array();
+        --depth_;
+        return nested;
+      }
       case '"': {
         auto s = string();
         if (!s) return std::nullopt;
@@ -268,6 +272,7 @@ class Parser {
 
   std::string_view src_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

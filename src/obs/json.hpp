@@ -54,9 +54,14 @@ struct JsonValue {
   /// Member's boolean value, or `fallback` when absent / wrong type.
   [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
 
-  /// Parse a complete document. nullopt on any syntax error or trailing
-  /// garbage.
+  /// Parse a complete document. nullopt on any syntax error, trailing
+  /// garbage, or arrays/objects nested deeper than kMaxDepth.
   [[nodiscard]] static std::optional<JsonValue> parse(std::string_view src);
+
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so without a bound one line of '[' exhausts the
+  /// stack; the documents this repo writes nest at most a few levels.
+  static constexpr int kMaxDepth = 64;
 };
 
 }  // namespace tinysdr::obs

@@ -166,11 +166,8 @@ exec::RunStatus LinkSimulator::sweep(std::span<const SweepPoint> points,
   results.assign(points.size(), PointResult{});
   obs::ItemShards shards{points.size()};
 
-  exec::ExecPolicy p = policy;
-  if (p.grain == 0) p.grain = 1;  // a point's trial loop is a heavy item
-
   exec::RunStatus status =
-      exec::parallel_for(points.size(), p, [&](std::size_t i, std::size_t) {
+      exec::parallel_for(points.size(), policy, [&](std::size_t i) {
         auto scope = shards.enter(i);
         results[i] = run_point(points[i]);
       });

@@ -341,9 +341,8 @@ std::size_t Engine::replay_job_journal(const std::string& path) {
       submit_locked(std::move(*spec), /*journal=*/false);
       ++applied;
     } else if (op == "done" || op == "fail") {
-      const auto id =
-          static_cast<std::uint64_t>(doc->number_or("id", 0));
-      auto it = jobs_.find(id);
+      const std::optional<std::uint64_t> id = job_id(*doc);
+      auto it = id ? jobs_.find(*id) : jobs_.end();
       if (it == jobs_.end()) {
         ++journal_corrupt_;
         continue;

@@ -49,7 +49,8 @@ struct EngineConfig {
   std::string job_journal;
   /// A deadline-partial job re-queues this many times before failing.
   std::size_t max_attempts = 3;
-  /// Execution policy for job parallel regions (threads, grain).
+  /// Execution policy for job parallel regions (threads, cancellation,
+  /// deadline).
   exec::ExecPolicy policy{};
 };
 

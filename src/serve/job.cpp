@@ -342,4 +342,12 @@ std::string JobResult::json() const {
   return out.str();
 }
 
+std::optional<std::uint64_t> job_id(const JsonValue& doc) {
+  const JsonValue* v = doc.find("id");
+  double id = 0.0;
+  if (v == nullptr || !integral_in(*v, 1, kMaxExactInteger, &id))
+    return std::nullopt;
+  return static_cast<std::uint64_t>(id);
+}
+
 }  // namespace tinysdr::serve

@@ -93,6 +93,11 @@ struct JobSpec {
 [[nodiscard]] std::optional<JobSpec> parse_job(const obs::JsonValue& doc,
                                                std::string& error);
 
+/// The `id` member of a request or job-journal line: an exact integer in
+/// [1, 2^53], the same rule seeds follow. nullopt when absent, not a
+/// number, fractional or out of range.
+[[nodiscard]] std::optional<std::uint64_t> job_id(const obs::JsonValue& doc);
+
 struct SweepResult {
   std::vector<phy::PointResult> points;  ///< one per grid RSSI, in order
 };

@@ -55,9 +55,9 @@ Response handle_line(Engine& engine, std::string_view line) {
   }
 
   if (type == "status" || type == "result") {
-    const double raw_id = doc->number_or("id", -1.0);
-    if (raw_id < 0) return error_response("missing or bad 'id'");
-    const auto id = static_cast<std::uint64_t>(raw_id);
+    const std::optional<std::uint64_t> parsed_id = job_id(*doc);
+    if (!parsed_id) return error_response("missing or bad 'id'");
+    const std::uint64_t id = *parsed_id;
     auto status = engine.status(id);
     if (!status)
       return error_response("no job with id " + std::to_string(id));

@@ -23,8 +23,12 @@
 // Errors: {"ok":false,"error":"..."} (plus "state" when a result is just
 // not ready yet). Unknown types and malformed JSON are errors, never
 // crashes — this is the daemon's ingest path, so it must shrug off junk.
+// A request line longer than kMaxRequestLine bytes gets one error line
+// and the connection is closed, so a client cannot grow the daemon's
+// memory without bound.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +42,8 @@ struct Response {
   bool submitted = false;  ///< a job was enqueued (daemon wakes its runner)
   bool shutdown = false;   ///< client asked the daemon to exit
 };
+
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 [[nodiscard]] Response handle_line(Engine& engine, std::string_view line);
 

@@ -123,8 +123,17 @@ void Server::handle_connection(int fd) {
     if (n == 0) break;  // client hung up
     buffer.append(chunk, static_cast<std::size_t>(n));
 
-    std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    for (;;) {
+      const std::size_t newline = buffer.find('\n');
+      const std::size_t line_bytes =
+          newline == std::string::npos ? buffer.size() : newline;
+      if (line_bytes > kMaxRequestLine) {
+        (void)send_all(fd, "{\"ok\":false,\"error\":\"request line exceeds " +
+                               std::to_string(kMaxRequestLine) +
+                               " bytes\"}\n");
+        return;
+      }
+      if (newline == std::string::npos) break;
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       if (line.empty()) continue;

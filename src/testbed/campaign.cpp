@@ -69,11 +69,8 @@ std::vector<ota::UpdateReport> run_fleet(const Deployment& deployment,
   std::vector<std::optional<ota::UpdateReport>> reports(nodes.size());
   obs::ItemShards shards{nodes.size()};
 
-  exec::ExecPolicy p = policy;
-  if (p.grain == 0) p.grain = 1;  // one OTA update is a heavy item
-
   status = exec::parallel_for(
-      nodes.size(), p, [&](std::size_t i, std::size_t) {
+      nodes.size(), policy, [&](std::size_t i) {
         auto scope = shards.enter(i);
         const std::uint16_t id = nodes[i].id;
         if (auto* t = obs::tracer()) {

@@ -49,11 +49,8 @@ PhyCampaignResult run_phy_campaign(const Deployment& deployment,
 
   obs::ItemShards shards{nodes.size()};
 
-  exec::ExecPolicy p = policy;
-  if (p.grain == 0) p.grain = 1;  // one node's trial batch is a heavy item
-
   result.exec_status = exec::parallel_for(
-      nodes.size(), p, [&](std::size_t i, std::size_t) {
+      nodes.size(), policy, [&](std::size_t i) {
         auto scope = shards.enter(i);
         const Node& node = nodes[i];
         const auto& entry =

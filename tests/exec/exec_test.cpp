@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/cancel.hpp"
 #include "exec/parallel_for.hpp"
+#include "exec/pinned.hpp"
 #include "exec/seed.hpp"
 #include "exec/worker_pool.hpp"
 
@@ -75,9 +78,7 @@ TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
     const std::size_t n = 1000;
     std::vector<std::atomic<int>> hits(n);
     auto status = parallel_for(n, ExecPolicy::with_threads(threads),
-                               [&](std::size_t i, std::size_t) {
-                                 hits[i].fetch_add(1);
-                               });
+                               [&](std::size_t i) { hits[i].fetch_add(1); });
     EXPECT_TRUE(status.complete());
     EXPECT_EQ(status.items_completed, n);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
@@ -87,83 +88,48 @@ TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
 TEST(ParallelFor, ZeroItemsCompletesImmediately) {
   bool ran = false;
   auto status = parallel_for(0, ExecPolicy::with_threads(8),
-                             [&](std::size_t, std::size_t) { ran = true; });
+                             [&](std::size_t) { ran = true; });
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(status.items_completed, 0u);
   EXPECT_FALSE(ran);
 }
 
 TEST(ParallelFor, SingleItemRunsInline) {
-  std::size_t participant = 99;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
   auto status = parallel_for(1, ExecPolicy::with_threads(8),
-                             [&](std::size_t i, std::size_t p) {
+                             [&](std::size_t i) {
                                EXPECT_EQ(i, 0u);
-                               participant = p;
+                               ran_on = std::this_thread::get_id();
                              });
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(status.items_completed, 1u);
-  EXPECT_EQ(participant, 0u);  // the caller itself
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ParallelFor, MoreThreadsThanItems) {
   const std::size_t n = 3;
   std::vector<std::atomic<int>> hits(n);
   auto status = parallel_for(n, ExecPolicy::with_threads(16),
-                             [&](std::size_t i, std::size_t) {
-                               hits[i].fetch_add(1);
-                             });
+                             [&](std::size_t i) { hits[i].fetch_add(1); });
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(status.items_completed, n);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ParallelFor, ResultIndependentOfGrain) {
-  const std::size_t n = 257;  // deliberately not a multiple of anything
-  std::vector<std::uint64_t> expected(n);
-  for (std::size_t i = 0; i < n; ++i) expected[i] = stream_seed(5, i);
-
-  for (std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-    std::vector<std::uint64_t> out(n, 0);
-    ExecPolicy p = ExecPolicy::with_threads(4);
-    p.grain = grain;
-    auto status = parallel_for(n, p, [&](std::size_t i, std::size_t) {
-      out[i] = stream_seed(5, i);
-    });
-    EXPECT_TRUE(status.complete());
-    EXPECT_EQ(out, expected) << "grain=" << grain;
-  }
-}
-
-TEST(ParallelFor, ParticipantIdsStayInRange) {
-  const std::size_t threads = 4;
-  std::mutex mu;
-  std::set<std::size_t> seen;
-  auto status = parallel_for(256, ExecPolicy::with_threads(threads),
-                             [&](std::size_t, std::size_t p) {
-                               std::lock_guard<std::mutex> lock(mu);
-                               seen.insert(p);
-                             });
-  EXPECT_TRUE(status.complete());
-  EXPECT_FALSE(seen.empty());
-  EXPECT_LT(*seen.rbegin(), threads);
-  // The caller (participant 0) usually joins in, but on a loaded machine
-  // the workers may drain the whole index space first — participation is
-  // not part of the contract, so only the id range is asserted.
-}
-
 TEST(ParallelFor, NestedRegionsDegradeToInlineSerial) {
   std::atomic<int> total{0};
-  auto status = parallel_for(
-      4, ExecPolicy::with_threads(4), [&](std::size_t, std::size_t) {
-        // A nested region must not deadlock or respawn the pool; it runs
-        // inline on the worker that entered it.
-        auto inner = parallel_for(8, ExecPolicy::with_threads(4),
-                                  [&](std::size_t, std::size_t p) {
-                                    EXPECT_EQ(p, 0u);
-                                    total.fetch_add(1);
-                                  });
-        EXPECT_TRUE(inner.complete());
-      });
+  auto status = parallel_for(4, ExecPolicy::with_threads(4), [&](std::size_t) {
+    // A nested region must not deadlock or respawn the pool; it runs
+    // inline on the worker that entered it.
+    const std::thread::id outer = std::this_thread::get_id();
+    auto inner = parallel_for(8, ExecPolicy::with_threads(4),
+                              [&](std::size_t) {
+                                EXPECT_EQ(std::this_thread::get_id(), outer);
+                                total.fetch_add(1);
+                              });
+    EXPECT_TRUE(inner.complete());
+  });
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(total.load(), 32);
 }
@@ -172,7 +138,7 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
   EXPECT_THROW(
       {
         (void)parallel_for(100, ExecPolicy::with_threads(4),
-                           [&](std::size_t i, std::size_t) {
+                           [&](std::size_t i) {
                              if (i == 57) throw std::runtime_error("boom");
                            });
       },
@@ -185,9 +151,7 @@ TEST(ParallelFor, PreCancelledTokenRunsNothing) {
   ExecPolicy p = ExecPolicy::with_threads(4);
   p.cancel = source.token();
   std::atomic<int> ran{0};
-  auto status = parallel_for(64, p, [&](std::size_t, std::size_t) {
-    ran.fetch_add(1);
-  });
+  auto status = parallel_for(64, p, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(status.outcome, RunOutcome::kCancelled);
   EXPECT_FALSE(status.complete());
   EXPECT_EQ(status.items_completed, 0u);
@@ -198,9 +162,8 @@ TEST(ParallelFor, MidRunCancellationStopsNewItems) {
   CancellationSource source;
   ExecPolicy p = ExecPolicy::serial();  // deterministic item order
   p.cancel = source.token();
-  p.grain = 1;
   std::size_t ran = 0;
-  auto status = parallel_for(100, p, [&](std::size_t, std::size_t) {
+  auto status = parallel_for(100, p, [&](std::size_t) {
     ++ran;
     if (ran == 10) source.cancel();
   });
@@ -214,10 +177,8 @@ TEST(ParallelFor, MidRunCancellationStopsNewItems) {
 TEST(ParallelFor, ExpiredDeadlineStopsTheRegion) {
   ExecPolicy p = ExecPolicy::serial();
   p.deadline = Seconds{0.0};  // already expired when the region starts
-  p.grain = 1;
   std::size_t ran = 0;
-  auto status =
-      parallel_for(100, p, [&](std::size_t, std::size_t) { ++ran; });
+  auto status = parallel_for(100, p, [&](std::size_t) { ++ran; });
   EXPECT_EQ(status.outcome, RunOutcome::kDeadlineExceeded);
   EXPECT_FALSE(status.complete());
   EXPECT_EQ(ran, status.items_completed);
@@ -227,16 +188,9 @@ TEST(ParallelFor, ExpiredDeadlineStopsTheRegion) {
 TEST(ParallelFor, GenerousDeadlineCompletes) {
   ExecPolicy p = ExecPolicy::with_threads(2);
   p.deadline = Seconds{3600.0};
-  auto status = parallel_for(64, p, [](std::size_t, std::size_t) {});
+  auto status = parallel_for(64, p, [](std::size_t) {});
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(status.items_completed, 64u);
-}
-
-TEST(ParallelFor, RejectsAbsurdIndexSpace)
-{
-  EXPECT_THROW((void)parallel_for(std::size_t{1} << 33, ExecPolicy::serial(),
-                                  [](std::size_t, std::size_t) {}),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ WorkerPool
@@ -244,8 +198,8 @@ TEST(ParallelFor, RejectsAbsurdIndexSpace)
 TEST(WorkerPool, SerialPolicySpawnsNoWorkers) {
   WorkerPool pool;
   std::size_t sum = 0;
-  auto status = pool.run(100, ExecPolicy::serial(),
-                         [&](std::size_t i, std::size_t) { sum += i; });
+  auto status =
+      pool.run(100, ExecPolicy::serial(), [&](std::size_t i) { sum += i; });
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(sum, 4950u);
   EXPECT_EQ(pool.spawned_workers(), 0u);
@@ -256,7 +210,7 @@ TEST(WorkerPool, ReusedAcrossRegions) {
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::size_t> sum{0};
     auto status = pool.run(1000, ExecPolicy::with_threads(4),
-                           [&](std::size_t i, std::size_t) {
+                           [&](std::size_t i) {
                              sum.fetch_add(i, std::memory_order_relaxed);
                            });
     EXPECT_TRUE(status.complete());
@@ -271,15 +225,61 @@ TEST(WorkerPool, HonoursThreadCountsAboveHardwareConcurrency) {
   // pin 8-way runs on single-core CI containers).
   WorkerPool pool;
   std::mutex mu;
-  std::set<std::size_t> participants;
-  auto status = pool.run(512, ExecPolicy::with_threads(8),
-                         [&](std::size_t, std::size_t p) {
-                           std::lock_guard<std::mutex> lock(mu);
-                           participants.insert(p);
-                         });
+  std::set<std::thread::id> threads;
+  auto status =
+      pool.run(512, ExecPolicy::with_threads(8), [&](std::size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      });
   EXPECT_TRUE(status.complete());
-  EXPECT_LE(participants.size(), 8u);
-  EXPECT_LT(*participants.rbegin(), 8u);
+  EXPECT_LE(threads.size(), 8u);
+  // The caller is one of the 8 participants; the other 7 are spawned.
+  EXPECT_EQ(pool.spawned_workers(), 7u);
+}
+
+// ------------------------------------------------------------ run_pinned
+
+/// Run `count` pinned tasks that each wait at a shared barrier until all
+/// `count` have arrived. True when every task met the others, i.e. each
+/// had a thread of its own at the same time. The wait is bounded, so a
+/// scheduler that serialises the tasks fails here instead of hanging.
+bool pinned_tasks_meet(std::size_t count) {
+  std::mutex mu;
+  std::condition_variable arrived_cv;
+  std::size_t arrived = 0;
+  bool timed_out = false;
+  run_pinned(count, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++arrived == count) arrived_cv.notify_all();
+    if (!arrived_cv.wait_for(lock, std::chrono::seconds(10), [&] {
+          return arrived == count || timed_out;
+        })) {
+      timed_out = true;
+      arrived_cv.notify_all();  // release the peers already waiting
+    }
+  });
+  return !timed_out && arrived == count;
+}
+
+TEST(RunPinned, EveryTaskHasItsOwnThreadAtTopLevel) {
+  ASSERT_FALSE(in_parallel_region());
+  for (std::size_t count = 2; count <= 8; ++count)
+    EXPECT_TRUE(pinned_tasks_meet(count)) << "count=" << count;
+}
+
+TEST(RunPinned, EveryTaskHasItsOwnThreadInsideAParallelRegion) {
+  // Nested pool regions run inline, so run_pinned must fall back to
+  // dedicated threads here.
+  for (std::size_t count = 2; count <= 8; ++count) {
+    std::atomic<int> met{0};
+    auto status = parallel_for(2, ExecPolicy::with_threads(2),
+                               [&](std::size_t) {
+                                 EXPECT_TRUE(in_parallel_region());
+                                 if (pinned_tasks_meet(count)) ++met;
+                               });
+    EXPECT_TRUE(status.complete());
+    EXPECT_EQ(met.load(), 2) << "count=" << count;
+  }
 }
 
 }  // namespace

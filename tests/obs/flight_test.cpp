@@ -199,7 +199,7 @@ TEST(FlightRecorder, CancelledExecRegionLeavesAWarnRecord) {
   source.cancel();  // pre-cancelled: the region stops before any item
   exec::ExecPolicy policy = exec::ExecPolicy::serial();
   policy.cancel = source.token();
-  auto status = exec::parallel_for(64, policy, [](std::size_t, std::size_t) {});
+  auto status = exec::parallel_for(64, policy, [](std::size_t) {});
   EXPECT_FALSE(status.complete());
   EXPECT_EQ(count_component(r, "exec"), 1u);
   EXPECT_EQ(r.count_at_least(FlightLevel::kWarn), 1u);
@@ -210,7 +210,7 @@ TEST(FlightRecorder, CompleteExecRegionStaysSilent) {
   FlightRecorder r;
   FlightSession session{r};
   auto status = exec::parallel_for(64, exec::ExecPolicy::serial(),
-                                   [](std::size_t, std::size_t) {});
+                                   [](std::size_t) {});
   EXPECT_TRUE(status.complete());
   EXPECT_EQ(r.size(), 0u);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "obs/json.hpp"
 
 namespace tinysdr::obs {
@@ -163,6 +165,31 @@ TEST(Json, ParserHandlesNestedStructures) {
   EXPECT_EQ(doc->find("d")->text, "xA");
   EXPECT_FALSE(JsonValue::parse("{\"a\":1,}").has_value());
   EXPECT_FALSE(JsonValue::parse("[1,2] trailing").has_value());
+}
+
+TEST(Json, ParserBoundsNestingDepth) {
+  auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  const int limit = JsonValue::kMaxDepth;
+  EXPECT_TRUE(JsonValue::parse(nested(limit, '[', ']')).has_value());
+  EXPECT_FALSE(JsonValue::parse(nested(limit + 1, '[', ']')).has_value());
+  // Arrays and objects count alike.
+  auto mixed = [](int depth) {
+    std::string open, close;
+    for (int i = 0; i < depth; ++i) {
+      open += (i % 2 == 0) ? "{\"a\":" : "[";
+      close.insert(close.begin(), (i % 2 == 0) ? '}' : ']');
+    }
+    return open + "1" + close;
+  };
+  EXPECT_TRUE(JsonValue::parse(mixed(limit)).has_value());
+  EXPECT_FALSE(JsonValue::parse(mixed(limit + 1)).has_value());
+  // Deep enough to overflow the stack of an unbounded recursive parser:
+  // rejected cleanly, unterminated or not.
+  EXPECT_FALSE(JsonValue::parse(std::string(100000, '[')).has_value());
+  EXPECT_FALSE(JsonValue::parse(nested(100000, '[', ']')).has_value());
 }
 
 }  // namespace

@@ -200,6 +200,35 @@ TEST(Engine, RestartedEngineResumesFromJournalsWithIdenticalBytes) {
   std::remove(job_path.c_str());
 }
 
+TEST(Engine, JournalIdsThatAreNotExactJobIdsCountAsCorrupt) {
+  const std::string job_path = temp_path("bad_ids_jobs.ndjson");
+  std::remove(job_path.c_str());
+  EngineConfig journaled;
+  journaled.job_journal = job_path;
+  {
+    Engine engine{phy::Registry::builtin(), journaled};
+    ASSERT_EQ(engine.submit(small_campaign()), 1u);
+  }
+  {
+    // Truncating 1.5 would mark job 1 done; 1e300 does not fit a uint64.
+    std::FILE* f = std::fopen(job_path.c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"op\":\"done\",\"id\":1.5}\n"
+               "{\"op\":\"done\",\"id\":1e300}\n"
+               "{\"op\":\"fail\",\"id\":2.5}\n",
+               f);
+    std::fclose(f);
+  }
+
+  Engine reborn{phy::Registry::builtin(), journaled};
+  EXPECT_EQ(reborn.stats().at("serve.journal.corrupt"), 3.0);
+  auto status = reborn.status(1);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kQueued);
+  EXPECT_EQ(reborn.queued(), 1u);
+  std::remove(job_path.c_str());
+}
+
 TEST(Engine, KilledMidJobRestartReusesCheckpointedPoints) {
   const std::string cache_path = temp_path("partial_cache.ndjson");
   const std::string job_path = temp_path("partial_jobs.ndjson");

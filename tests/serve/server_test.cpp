@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -47,6 +48,40 @@ TEST(Protocol, RejectsJunkWithoutCrashing) {
   }
 }
 
+TEST(Protocol, RejectsDeeplyNestedRequestWithoutCrashing) {
+  // One line of '[' would overflow an unbounded recursive parser's stack
+  // and take the daemon down with it.
+  Engine engine{phy::Registry::builtin(), {}};
+  for (const std::string& line :
+       {std::string(100000, '['),
+        R"({"type":"status","id":)" + std::string(100000, '[')}) {
+    Response r = handle_line(engine, line);
+    ASSERT_EQ(r.lines.size(), 1u);
+    EXPECT_NE(r.lines[0].find("\"ok\":false"), std::string::npos);
+  }
+}
+
+TEST(Protocol, RefusesIdsThatAreNotExactJobIds) {
+  Engine engine{phy::Registry::builtin(), {}};
+  ASSERT_TRUE(handle_line(engine, submit_line(kSmallJob)).submitted);
+  // 1e300 does not fit a uint64 and 1.5/2.5 are not integers: none may be
+  // cast into a job id (job 1 exists, so truncating 1.5 would find it).
+  for (const char* type : {"status", "result"}) {
+    for (const char* id : {"1e300", "2.5", "1.5", "0", "-1", "\"1\"",
+                           "9007199254740994"}) {
+      const std::string line = std::string(R"({"type":")") + type +
+                               R"(","id":)" + id + "}";
+      Response r = handle_line(engine, line);
+      ASSERT_EQ(r.lines.size(), 1u) << line;
+      EXPECT_NE(r.lines[0].find("missing or bad 'id'"), std::string::npos)
+          << line << " -> " << r.lines[0];
+    }
+  }
+  Response ok = handle_line(engine, R"({"type":"status","id":1})");
+  ASSERT_EQ(ok.lines.size(), 1u);
+  EXPECT_NE(ok.lines[0].find("\"ok\":true"), std::string::npos);
+}
+
 TEST(Protocol, SubmitStatusResultLifecycle) {
   Engine engine{phy::Registry::builtin(), {}};
   Response submitted = handle_line(engine, submit_line(kSmallJob));
@@ -87,6 +122,10 @@ class TestClient {
  public:
   explicit TestClient(const std::string& path) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    // A daemon that never answers fails the test instead of hanging it.
+    const timeval timeout{30, 0};
+    if (fd_ >= 0)
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
@@ -99,10 +138,11 @@ class TestClient {
   }
   [[nodiscard]] bool connected() const { return connected_; }
 
-  bool send_line(const std::string& line) {
-    const std::string framed = line + "\n";
-    return ::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL) ==
-           static_cast<ssize_t>(framed.size());
+  bool send_line(const std::string& line) { return send_raw(line + "\n"); }
+
+  bool send_raw(const std::string& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
   }
 
   bool read_line(std::string& line) {
@@ -180,6 +220,44 @@ TEST(Server, DaemonResultBytesMatchInProcessEngine) {
     ASSERT_TRUE(client.send_line(R"({"type":"shutdown"})"));
     ASSERT_TRUE(client.read_line(reply));
     EXPECT_NE(reply.find("\"stopping\":true"), std::string::npos);
+  }
+
+  accept_thread.join();
+  ::unlink(socket_path.c_str());
+}
+
+TEST(Server, OverlongRequestLineIsRefusedAndTheConnectionClosed) {
+  const std::string socket_path = testing::TempDir() + "serve_long.sock";
+  Engine engine{phy::Registry::builtin(), {}};
+  ServerConfig config;
+  config.unix_socket = socket_path;
+  Server server{engine, config};
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  std::thread accept_thread{[&server] { server.serve_forever(); }};
+
+  {
+    // One byte over the cap and still no newline: the daemon answers
+    // once and hangs up instead of buffering the rest.
+    TestClient client{socket_path};
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_raw(std::string(kMaxRequestLine + 1, ' ')));
+    std::string reply;
+    ASSERT_TRUE(client.read_line(reply));
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("request line exceeds"), std::string::npos);
+    EXPECT_FALSE(client.read_line(reply));  // connection closed
+  }
+  {
+    // The daemon itself is unharmed and serves the next client.
+    TestClient client{socket_path};
+    ASSERT_TRUE(client.connected());
+    std::string reply;
+    ASSERT_TRUE(client.send_line(R"({"type":"ping"})"));
+    ASSERT_TRUE(client.read_line(reply));
+    EXPECT_NE(reply.find("\"pong\":true"), std::string::npos);
+    ASSERT_TRUE(client.send_line(R"({"type":"shutdown"})"));
+    ASSERT_TRUE(client.read_line(reply));
   }
 
   accept_thread.join();
