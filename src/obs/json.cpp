@@ -68,6 +68,15 @@ double JsonValue::number_or(const std::string& key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->number : fallback;
 }
 
+std::optional<double> JsonValue::integer_in(const std::string& key,
+                                            double lo, double hi) const {
+  const JsonValue* v = find(key);
+  if (v == nullptr || !v->is_number()) return std::nullopt;
+  if (v->number != std::floor(v->number)) return std::nullopt;
+  if (v->number < lo || v->number > hi) return std::nullopt;
+  return v->number;
+}
+
 std::string_view JsonValue::string_or(const std::string& key,
                                       std::string_view fallback) const {
   const JsonValue* v = find(key);

@@ -54,6 +54,14 @@ struct JsonValue {
   /// Member's boolean value, or `fallback` when absent / wrong type.
   [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
 
+  /// Member's value when it is an exact integer in [lo, hi]; nullopt when
+  /// absent, not a number, fractional or out of range.
+  [[nodiscard]] std::optional<double> integer_in(const std::string& key,
+                                                 double lo, double hi) const;
+
+  /// Integers ride in JSON doubles; beyond 2^53 they stop round-tripping.
+  static constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
   /// Parse a complete document. nullopt on any syntax error, trailing
   /// garbage, or arrays/objects nested deeper than kMaxDepth.
   [[nodiscard]] static std::optional<JsonValue> parse(std::string_view src);

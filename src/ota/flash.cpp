@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "common/crc.hpp"
 
@@ -27,30 +28,43 @@ void and_into(std::uint8_t* cells, const std::uint8_t* data, std::size_t n) {
 
 }  // namespace
 
+void FlashModel::check_range(std::size_t address, std::size_t length,
+                             const char* what) {
+  if (address > kCapacity || length > kCapacity - address)
+    throw std::out_of_range(std::string(what) + ": past end");
+}
+
+std::uint8_t* FlashModel::touch(std::size_t address,
+                                std::size_t length) const {
+  std::uint8_t* cells = memory_.get();
+  if (length == 0) return cells + address;
+  for (std::size_t s = address / kSectorSize;
+       s <= (address + length - 1) / kSectorSize; ++s) {
+    if (live_[s]) continue;
+    std::memset(cells + s * kSectorSize, 0xFF, kSectorSize);
+    live_.set(s);
+  }
+  return cells + address;
+}
+
 bool FlashModel::erase_sector(std::size_t address) {
   if (address >= kCapacity)
     throw std::out_of_range("FlashModel::erase_sector: past end");
   std::size_t base = address - (address % kSectorSize);
   ++erase_count_;
-  if (sector_erase_hook_ && sector_erase_hook_(base)) {
-    // Power/voltage fault partway through: only the first half blanks.
-    ++erase_failures_;
-    std::fill(
-        memory_.begin() + static_cast<std::ptrdiff_t>(base),
-        memory_.begin() + static_cast<std::ptrdiff_t>(base + kSectorSize / 2),
-        0xFF);
-    return false;
-  }
-  std::fill(memory_.begin() + static_cast<std::ptrdiff_t>(base),
-            memory_.begin() + static_cast<std::ptrdiff_t>(base + kSectorSize),
-            0xFF);
-  return true;
+  // Power/voltage fault partway through: only the first half blanks.
+  const bool faulted = sector_erase_hook_ && sector_erase_hook_(base);
+  if (faulted) ++erase_failures_;
+  // A sector nothing has touched already reads as erased.
+  if (live_[base / kSectorSize])
+    std::memset(memory_.get() + base, 0xFF,
+                faulted ? kSectorSize / 2 : kSectorSize);
+  return !faulted;
 }
 
 bool FlashModel::erase_range(std::size_t address, std::size_t length) {
   if (length == 0) return true;
-  if (address + length > kCapacity)
-    throw std::out_of_range("FlashModel::erase_range: past end");
+  check_range(address, length, "FlashModel::erase_range");
   bool ok = true;
   std::size_t first = address - (address % kSectorSize);
   for (std::size_t s = first; s < address + length; s += kSectorSize)
@@ -60,10 +74,9 @@ bool FlashModel::erase_range(std::size_t address, std::size_t length) {
 
 bool FlashModel::program(std::size_t address,
                          std::span<const std::uint8_t> data) {
-  if (address + data.size() > kCapacity)
-    throw std::out_of_range("FlashModel::program: past end");
+  check_range(address, data.size(), "FlashModel::program");
   bool ok = true;
-  std::uint8_t* cells = memory_.data() + address;
+  std::uint8_t* cells = touch(address, data.size());
   // Real parts program through the page buffer; faults are per page op.
   std::size_t pos = 0;
   while (pos < data.size()) {
@@ -100,16 +113,22 @@ std::vector<std::uint8_t> FlashModel::read(std::size_t address,
 
 std::span<const std::uint8_t> FlashModel::view(std::size_t address,
                                                std::size_t length) const {
-  if (address + length > kCapacity)
-    throw std::out_of_range("FlashModel: read past end");
-  return std::span(memory_).subspan(address, length);
+  check_range(address, length, "FlashModel: read");
+  return {touch(address, length), length};
 }
 
 bool FlashModel::is_erased(std::size_t address, std::size_t length) const {
-  if (address + length > kCapacity)
-    throw std::out_of_range("FlashModel::is_erased: past end");
-  for (std::size_t i = 0; i < length; ++i)
-    if (memory_[address + i] != 0xFF) return false;
+  check_range(address, length, "FlashModel::is_erased");
+  const std::size_t end = address + length;
+  for (std::size_t at = address; at < end;) {
+    const std::size_t s = at / kSectorSize;
+    const std::size_t stop = std::min(end, (s + 1) * kSectorSize);
+    // Only a touched sector can hold a cleared bit.
+    if (live_[s] && !std::all_of(memory_.get() + at, memory_.get() + stop,
+                                 [](std::uint8_t b) { return b == 0xFF; }))
+      return false;
+    at = stop;
+  }
   return true;
 }
 

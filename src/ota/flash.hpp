@@ -12,11 +12,17 @@
 // page-program and per sector-erase operation: a page program can tear
 // mid-page (a prefix commits, one byte is left with partial bits), and a
 // sector erase can fail halfway. `sim::FaultInjector` drives these hooks.
+//
+// The array is sparse. An update touches under 1 MiB of the 8 MiB, so a
+// sector holds bytes of its own only once an operation touches it: until
+// then it reads as erased. Callers see the same bytes as a dense array.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,7 +54,10 @@ class FlashModel {
                                                     std::size_t length)>;
   using SectorEraseHook = std::function<bool(std::size_t address)>;
 
-  FlashModel() : memory_(kCapacity, 0xFF) {}
+  /// A blank part: every sector reads as erased, and none has storage
+  /// filled yet. Move-only, since a node owns its flash.
+  FlashModel()
+      : memory_(std::make_unique_for_overwrite<std::uint8_t[]>(kCapacity)) {}
 
   /// Erase the 4 KiB sector containing `address`.
   /// Returns false if an injected fault left the sector partially erased.
@@ -66,7 +75,10 @@ class FlashModel {
   [[nodiscard]] std::vector<std::uint8_t> read(std::size_t address,
                                                std::size_t length) const;
   /// The same bytes as read(), without the copy. The span aliases the
-  /// array, so it is valid until the next erase or program.
+  /// array, so it is valid until the next erase or program. It fills the
+  /// untouched sectors it covers with 0xFF first, so, though const, it
+  /// writes: one flash must not be viewed from two threads at once (each
+  /// node owns its flash).
   /// @throws std::out_of_range past the end of the array.
   [[nodiscard]] std::span<const std::uint8_t> view(std::size_t address,
                                                    std::size_t length) const;
@@ -94,8 +106,8 @@ class FlashModel {
     return erase_failures_;
   }
 
-  /// Timing model (datasheet): page program 3 ms max? No — MX25R: tBP
-  /// ~100 us typical per page in low-power mode; sector erase ~58 ms typ.
+  /// Timing model (MX25R datasheet, low-power mode): a page program takes
+  /// ~100 us typical (tBP), a sector erase ~58 ms typical.
   [[nodiscard]] static Seconds page_program_time() {
     return Seconds::from_microseconds(100.0);
   }
@@ -110,7 +122,20 @@ class FlashModel {
   }
 
  private:
-  std::vector<std::uint8_t> memory_;
+  static constexpr std::size_t kSectors = kCapacity / kSectorSize;
+
+  /// @throws std::out_of_range unless [address, address + length) lies
+  /// inside the array (written so that a huge length cannot wrap).
+  static void check_range(std::size_t address, std::size_t length,
+                          const char* what);
+  /// The cells of [address, address + length), with every sector they
+  /// cover filled with 0xFF on its first touch.
+  std::uint8_t* touch(std::size_t address, std::size_t length) const;
+
+  /// Uninitialised until touch() fills a sector; `live_` marks the filled
+  /// ones. A sector that is not live reads as erased.
+  std::unique_ptr<std::uint8_t[]> memory_;
+  mutable std::bitset<kSectors> live_;
   std::uint64_t erase_count_ = 0;
   std::uint64_t bytes_programmed_ = 0;
   std::uint64_t program_failures_ = 0;

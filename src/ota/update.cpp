@@ -1,5 +1,6 @@
 #include "ota/update.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/crc.hpp"
@@ -14,7 +15,21 @@ AirImage UpdatePlanner::prepare(const fpga::FirmwareImage& image) {
   air.original_bytes = image.size();
   air.compressed_bytes = compressed_size(blocks);
   air.image_crc32 = crc32_ieee(image.data);
+  // Nodes whose staged bytes equal the stream take `original` in place of
+  // a decode, so the codec must give the image back exactly.
+  if (decompress_stream(air.stream) != image.data)
+    throw std::logic_error("UpdatePlanner::prepare: stream does not decode "
+                           "to the image");
+  air.original = image.data;
   return air;
+}
+
+const std::vector<std::uint8_t>* staged_image(
+    const AirImage& air, std::span<const std::uint8_t> staged,
+    std::optional<std::vector<std::uint8_t>>& decoded) {
+  if (std::ranges::equal(staged, air.stream)) return &air.original;
+  decoded = decompress_stream(staged);
+  return decoded ? &*decoded : nullptr;
 }
 
 UpdateReport UpdatePlanner::run(const AirImage& air, UpdateTarget target,
@@ -59,8 +74,9 @@ UpdateReport UpdatePlanner::run(const AirImage& air, UpdateTarget target,
 
   // Decompression: radio off; 30 kB SRAM block buffer on the MCU.
   mcu.allocate_sram("ota_block", static_cast<std::uint32_t>(kOtaBlockSize));
-  auto decompressed = decompress_stream(
-      flash.view(NodeAgent::kStagingBase, stream.size()));
+  std::optional<std::vector<std::uint8_t>> decoded;
+  const std::vector<std::uint8_t>* decompressed = staged_image(
+      air, flash.view(NodeAgent::kStagingBase, stream.size()), decoded);
   mcu.free_sram("ota_block");
   if (!decompressed || decompressed->size() != air.original_bytes) {
     return fail_with_rollback(UpdateFailure::kDecodeFailed);

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "fpga/bitstream.hpp"
 #include "fpga/programming.hpp"
@@ -76,6 +78,8 @@ struct UpdateOptions {
 struct AirImage {
   /// frame_blocks() of the compressed 30 kB blocks.
   std::vector<std::uint8_t> stream;
+  /// The image bytes: what `stream` decodes to (prepare() checks it).
+  std::vector<std::uint8_t> original;
   std::size_t original_bytes = 0;
   std::size_t compressed_bytes = 0;  ///< payload bytes, headers excluded
   std::uint32_t image_crc32 = 0;     ///< fingerprint of the decoded image
@@ -91,9 +95,14 @@ class UpdatePlanner {
   /// 48 MHz M4F streams roughly 1.3 MB/s.
   static constexpr double kDecompressBytesPerSecond = 1.32e6;
 
-  /// AP side: block-compress and frame an image for transfer.
+  /// AP side: block-compress and frame an image for transfer. Decodes the
+  /// framed stream once and keeps the image beside it as `original`.
+  /// @throws std::logic_error if that decode does not give the image back.
   [[nodiscard]] static AirImage prepare(const fpga::FirmwareImage& image);
 
+  /// Node side: decode the staged stream, flash the image to the legacy
+  /// offset or the standby A/B slot, and reprogram. The decode runs only
+  /// when it could change the answer: see staged_image().
   [[nodiscard]] UpdateReport run(const AirImage& air, UpdateTarget target,
                                  std::uint16_t device_id, OtaLink& link,
                                  FlashModel& flash, mcu::Msp432& mcu,
@@ -109,6 +118,16 @@ class UpdatePlanner {
     return run(prepare(image), target, device_id, link, flash, mcu, options);
   }
 };
+
+/// The image a node decodes from the `staged` bytes of its flash. Staged
+/// bytes equal to `air.stream` over its full length decode to
+/// `air.original` (prepare() checked the round trip), so that is returned
+/// without a decode. Any other content (a flash fault or an attack got
+/// past the transfer's CRC) runs decompress_stream() into `decoded`, and
+/// the result points there. nullptr when that decode fails.
+[[nodiscard]] const std::vector<std::uint8_t>* staged_image(
+    const AirImage& air, std::span<const std::uint8_t> staged,
+    std::optional<std::vector<std::uint8_t>>& decoded);
 
 /// Convenience: average power if a node is OTA-updated once per `period`
 /// and sleeps otherwise (§5.3's 71 uW / 27 uW numbers).

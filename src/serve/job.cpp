@@ -1,6 +1,5 @@
 #include "serve/job.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -15,25 +14,15 @@ using obs::JsonValue;
 using obs::json_number;
 using obs::json_quote;
 
-// Integers ride in JSON doubles; beyond 2^53 they stop round-tripping.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-bool integral_in(const JsonValue& v, double lo, double hi, double* out) {
-  if (!v.is_number()) return false;
-  if (v.number != std::floor(v.number)) return false;
-  if (v.number < lo || v.number > hi) return false;
-  *out = v.number;
-  return true;
-}
+constexpr double kMaxExactInteger = JsonValue::kMaxExactInteger;
 
 /// Fetch an optional integral member into `out`; `error` names the field
 /// on violation. Returns false only on a malformed present member.
 bool opt_integral(const JsonValue& obj, const std::string& key, double lo,
                   double hi, std::optional<double>* out, std::string& error) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  double value = 0.0;
-  if (!integral_in(*v, lo, hi, &value)) {
+  if (obj.find(key) == nullptr) return true;
+  const std::optional<double> value = obj.integer_in(key, lo, hi);
+  if (!value) {
     error = "'" + key + "' must be an integer in [" + json_number(lo) + ", " +
             json_number(hi) + "]";
     return false;
@@ -343,11 +332,9 @@ std::string JobResult::json() const {
 }
 
 std::optional<std::uint64_t> job_id(const JsonValue& doc) {
-  const JsonValue* v = doc.find("id");
-  double id = 0.0;
-  if (v == nullptr || !integral_in(*v, 1, kMaxExactInteger, &id))
-    return std::nullopt;
-  return static_cast<std::uint64_t>(id);
+  const std::optional<double> id = doc.integer_in("id", 1, kMaxExactInteger);
+  if (!id) return std::nullopt;
+  return static_cast<std::uint64_t>(*id);
 }
 
 }  // namespace tinysdr::serve

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -278,7 +279,14 @@ int main(int argc, char** argv) {
 
   const JsonValue submitted =
       request(client, R"({"type":"submit","job":)" + job_text + "}");
-  const auto id = static_cast<std::uint64_t>(submitted.number_or("id", 0));
+  // The server's own rule for job ids (serve::job_id): an exact integer
+  // in [1, 2^53], so the cast below neither truncates nor overflows.
+  const std::optional<double> id_number =
+      submitted.integer_in("id", 1, JsonValue::kMaxExactInteger);
+  if (!id_number)
+    return fail("server reply carries no valid job id (an integer in "
+                "[1, 2^53])");
+  const auto id = static_cast<std::uint64_t>(*id_number);
   std::cout << "submitted job " << id << "\n";
 
   if (!wait) return 0;

@@ -1,9 +1,11 @@
-// OTA harnesses: the node-side chunk store against a reference in-memory
-// model, the full AP->node transfer engine under adversarial fault
-// schedules (drops, dups, reorders, corruption, brownouts, flash faults),
-// and the LZO block decoder against a byte-at-a-time reference decoder.
+// OTA harnesses: the sparse flash model against a dense byte array, the
+// node-side chunk store against a reference in-memory model, the full
+// AP->node transfer engine under adversarial fault schedules (drops, dups,
+// reorders, corruption, brownouts, flash faults), and the LZO block
+// decoder against a byte-at-a-time reference decoder.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <span>
@@ -24,6 +26,202 @@ namespace {
 
 void require(bool cond, const std::string& what) {
   if (!cond) throw std::runtime_error(what);
+}
+
+// Differential oracle: FlashModel, which keeps a sector only once an
+// operation touches it, against a dense std::vector of the same cells.
+// Random erase, erase_range, program, view, read and is_erased calls run
+// in a window of a few sectors at the start, middle or end of the array,
+// with torn page programs and half-done erases from the fault hooks, and
+// a few calls past the end. After every call the two must agree byte for
+// byte, and on the counters. The check reads erased sectors through
+// is_erased only, so untouched sectors stay untouched until an operation
+// touches them.
+void flash_differential(std::span<const std::uint8_t> data) {
+  using ota::FlashModel;
+  constexpr std::size_t kSector = FlashModel::kSectorSize;
+  constexpr std::size_t kWindow = 4 * kSector;
+  testkit::ByteSource src{data};
+
+  const std::size_t bases[] = {0, FlashModel::kCapacity / 2,
+                               FlashModel::kCapacity - kWindow};
+  const std::size_t base = bases[src.uint_below(3)];
+  const std::uint32_t fault_odds = 2 + src.uint_below(14);  // 1 in N
+
+  FlashModel flash;
+  std::vector<std::uint8_t> ref(kWindow, 0xFF);
+  std::uint64_t erases = 0, erase_failures = 0;
+  std::uint64_t program_failures = 0, bytes_programmed = 0;
+
+  // The hooks log what the model asked for; the reference replays the log
+  // after checking it against the operations it expects.
+  std::vector<std::pair<std::size_t, bool>> erase_log;
+  std::vector<std::pair<std::size_t, std::optional<ota::PageProgramFault>>>
+      program_log;
+  flash.set_sector_erase_hook([&](std::size_t address) {
+    const bool fault = src.uint_below(fault_odds) == 1;
+    erase_log.emplace_back(address, fault);
+    return fault;
+  });
+  flash.set_page_program_hook(
+      [&](std::size_t address,
+          std::size_t length) -> std::optional<ota::PageProgramFault> {
+        std::optional<ota::PageProgramFault> fault;
+        if (src.uint_below(fault_odds) == 1)
+          fault = ota::PageProgramFault{src.uint_below(
+                                            static_cast<std::uint32_t>(length) +
+                                            2),
+                                        src.u8()};
+        program_log.emplace_back(address, fault);
+        return fault;
+      });
+
+  auto ref_erase = [&](std::size_t sector_base) {
+    require(!erase_log.empty() && erase_log.front().first == sector_base,
+            "erase hook saw the wrong sector");
+    const bool fault = erase_log.front().second;
+    erase_log.erase(erase_log.begin());
+    ++erases;
+    if (fault) ++erase_failures;
+    std::fill_n(ref.begin() + static_cast<std::ptrdiff_t>(sector_base - base),
+                fault ? kSector / 2 : kSector, 0xFF);
+    return !fault;
+  };
+  auto ref_erased = [&](std::size_t off, std::size_t len) {
+    return std::all_of(ref.begin() + static_cast<std::ptrdiff_t>(off),
+                       ref.begin() + static_cast<std::ptrdiff_t>(off + len),
+                       [](std::uint8_t b) { return b == 0xFF; });
+  };
+  auto ref_bytes = [&](std::size_t off, std::size_t len) {
+    return std::vector<std::uint8_t>(
+        ref.begin() + static_cast<std::ptrdiff_t>(off),
+        ref.begin() + static_cast<std::ptrdiff_t>(off + len));
+  };
+  auto expect_out_of_range = [](auto&& call, const char* what) {
+    bool threw = false;
+    try {
+      call();
+    } catch (const std::out_of_range&) {
+      threw = true;
+    }
+    require(threw, std::string(what) + " past the end did not throw");
+  };
+
+  const std::size_t ops = src.uint_below(48);
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::size_t off = src.uint_below(kWindow);
+    const std::size_t len = src.boolean()
+                                ? src.uint_below(3 * FlashModel::kPageSize)
+                                : src.uint_below(kWindow - off + 1);
+    const std::size_t n = std::min(len, kWindow - off);
+    const std::size_t address = base + off;
+    switch (src.uint_below(7)) {
+      case 0: {
+        const bool ok = flash.erase_sector(address);
+        require(ok == ref_erase(address - address % kSector),
+                "erase_sector result diverged");
+        break;
+      }
+      case 1: {
+        const bool ok = flash.erase_range(address, n);
+        bool expect = true;
+        for (std::size_t s = address - address % kSector;
+             n > 0 && s < address + n; s += kSector)
+          expect = ref_erase(s) && expect;
+        require(ok == expect, "erase_range result diverged");
+        break;
+      }
+      case 2: {
+        std::vector<std::uint8_t> bytes = src.take(n);
+        for (std::size_t i = bytes.size(); i < n; ++i)
+          bytes.push_back(static_cast<std::uint8_t>(i * 0x9Du ^ op));
+        const bool ok = flash.program(address, bytes);
+        // The reference splits the write at page boundaries itself.
+        bool expect = true;
+        for (std::size_t pos = 0; pos < n;) {
+          const std::size_t at = address + pos;
+          const std::size_t piece = std::min(
+              n - pos, FlashModel::kPageSize - at % FlashModel::kPageSize);
+          require(!program_log.empty() && program_log.front().first == at,
+                  "page-program hook saw the wrong page");
+          const auto fault = program_log.front().second;
+          program_log.erase(program_log.begin());
+          const std::size_t commit =
+              fault ? std::min(fault->committed, piece) : piece;
+          std::uint8_t* cells = ref.data() + (at - base);
+          for (std::size_t i = 0; i < commit; ++i) cells[i] &= bytes[pos + i];
+          if (fault) {
+            expect = false;
+            ++program_failures;
+            if (commit < piece)
+              cells[commit] &= static_cast<std::uint8_t>(
+                  bytes[pos + commit] | fault->torn_keep_mask);
+            bytes_programmed += commit + (commit < piece ? 1 : 0);
+          } else {
+            bytes_programmed += piece;
+          }
+          pos += piece;
+        }
+        require(ok == expect, "program result diverged");
+        break;
+      }
+      case 3: {
+        auto view = flash.view(address, n);
+        require(std::equal(view.begin(), view.end(),
+                           ref.begin() + static_cast<std::ptrdiff_t>(off)),
+                "view diverged from the reference");
+        break;
+      }
+      case 4:
+        require(flash.read(address, n) == ref_bytes(off, n),
+                "read diverged from the reference");
+        break;
+      case 5:
+        require(flash.is_erased(address, n) == ref_erased(off, n),
+                "is_erased diverged from the reference");
+        break;
+      default: {
+        // Past the end, including lengths that wrap address + length.
+        constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+        const std::size_t far = src.boolean() ? kMax - len : address;
+        const std::size_t huge = kMax - off;
+        const std::vector<std::uint8_t> two(2, 0);
+        expect_out_of_range([&] { (void)flash.view(far, huge); }, "view");
+        expect_out_of_range([&] { (void)flash.read(far, huge); }, "read");
+        expect_out_of_range([&] { (void)flash.is_erased(far, huge); },
+                            "is_erased");
+        expect_out_of_range([&] { (void)flash.erase_range(far, huge); },
+                            "erase_range");
+        expect_out_of_range([&] { (void)flash.program(kMax - 1, two); },
+                            "program");
+        expect_out_of_range(
+            [&] { (void)flash.erase_sector(FlashModel::kCapacity + off); },
+            "erase_sector");
+        break;
+      }
+    }
+    require(erase_log.empty() && program_log.empty(),
+            "the model called a fault hook the reference did not expect");
+    require(flash.erase_count() == erases &&
+                flash.erase_failures() == erase_failures &&
+                flash.program_failures() == program_failures &&
+                flash.bytes_programmed() == bytes_programmed,
+            "flash counters diverged from the reference");
+
+    // Byte-equal check. An erased reference sector is checked through
+    // is_erased alone, which must not need the sector's storage.
+    for (std::size_t s = 0; s < kWindow; s += kSector) {
+      const bool erased = ref_erased(s, kSector);
+      require(flash.is_erased(base + s, kSector) == erased,
+              "sector erase state diverged at offset " + std::to_string(s));
+      if (!erased) {
+        auto view = flash.view(base + s, kSector);
+        require(std::equal(view.begin(), view.end(),
+                           ref.begin() + static_cast<std::ptrdiff_t>(s)),
+                "sector bytes diverged at offset " + std::to_string(s));
+      }
+    }
+  }
 }
 
 // Differential oracle: NodeAgent::receive_chunk vs a trivial in-memory
@@ -331,6 +529,7 @@ void lzo_decode_differential(std::span<const std::uint8_t> data) {
 
 void register_ota_harnesses() {
   auto& reg = testkit::HarnessRegistry::instance();
+  reg.add({"ota.flash", flash_differential, /*max_len=*/512});
   reg.add({"ota.node_agent", node_agent_model, /*max_len=*/512});
   reg.add({"ota.transfer", transfer_adversarial, /*max_len=*/256});
   reg.add({"ota.lzo_decode", lzo_decode_differential, /*max_len=*/512});

@@ -192,5 +192,23 @@ TEST(Json, ParserBoundsNestingDepth) {
   EXPECT_FALSE(JsonValue::parse(nested(100000, '[', ']')).has_value());
 }
 
+TEST(Json, IntegerInAcceptsOnlyExactIntegersInRange) {
+  // tinysdr_submit reads the server's job id through this rule, so an id
+  // of 2.5 or 1e300 is refused rather than cast to a wrong or undefined
+  // integer.
+  auto id_of = [](const std::string& reply) {
+    auto doc = JsonValue::parse(reply);
+    return doc->integer_in("id", 1, JsonValue::kMaxExactInteger);
+  };
+  EXPECT_EQ(id_of(R"({"id":7})"), 7.0);
+  EXPECT_EQ(id_of(R"({"id":9007199254740992})"), JsonValue::kMaxExactInteger);
+  EXPECT_EQ(id_of(R"({"id":1e3})"), 1000.0);
+  for (const char* bad :
+       {R"({"id":2.5})", R"({"id":1e300})", R"({"id":0})", R"({"id":-1})",
+        R"({"id":9007199254740994})", R"({"id":"7"})", R"({"id":null})",
+        R"({"ok":true})", R"([7])"})
+    EXPECT_FALSE(id_of(bad).has_value()) << bad;
+}
+
 }  // namespace
 }  // namespace tinysdr::obs

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace tinysdr::ota {
@@ -58,6 +61,78 @@ TEST(FlashModel, OutOfRangeThrows) {
                std::out_of_range);
   EXPECT_THROW((void)flash.read(FlashModel::kCapacity, 1), std::out_of_range);
   EXPECT_THROW(flash.erase_sector(FlashModel::kCapacity), std::out_of_range);
+}
+
+TEST(FlashModel, SizeMaxAddressesAndLengthsThrowInsteadOfWrapping) {
+  // address + length would wrap to a small number for these.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  FlashModel flash;
+  EXPECT_THROW((void)flash.view(8, kMax - 4), std::out_of_range);
+  EXPECT_THROW((void)flash.read(8, kMax - 4), std::out_of_range);
+  EXPECT_THROW((void)flash.is_erased(8, kMax - 4), std::out_of_range);
+  EXPECT_THROW((void)flash.erase_range(8, kMax - 4), std::out_of_range);
+  EXPECT_THROW((void)flash.view(kMax, 1), std::out_of_range);
+  EXPECT_THROW((void)flash.is_erased(kMax, 0), std::out_of_range);
+  EXPECT_THROW((void)flash.erase_range(kMax - 4, 8), std::out_of_range);
+  EXPECT_THROW(
+      (void)flash.program(kMax - 1, std::vector<std::uint8_t>(2, 0)),
+      std::out_of_range);
+  EXPECT_THROW((void)flash.erase_sector(kMax), std::out_of_range);
+  EXPECT_EQ(flash.erase_count(), 0u);
+  // The last byte and an empty range at the very end are still inside.
+  EXPECT_TRUE(flash.is_erased(FlashModel::kCapacity - 1, 1));
+  EXPECT_TRUE(flash.view(FlashModel::kCapacity, 0).empty());
+}
+
+TEST(FlashModel, FaultedEraseOfAnUntouchedSectorCountsAndStaysErased) {
+  FlashModel flash;
+  std::vector<std::size_t> hooked;
+  flash.set_sector_erase_hook([&](std::size_t address) {
+    hooked.push_back(address);
+    return true;  // every erase fails halfway
+  });
+  EXPECT_FALSE(flash.erase_range(0x3000, 2 * FlashModel::kSectorSize));
+  EXPECT_EQ(hooked, (std::vector<std::size_t>{0x3000, 0x4000}));
+  EXPECT_EQ(flash.erase_count(), 2u);
+  EXPECT_EQ(flash.erase_failures(), 2u);
+  EXPECT_TRUE(flash.is_erased(0x3000, 2 * FlashModel::kSectorSize));
+}
+
+TEST(FlashModel, FaultedEraseOfAWrittenSectorBlanksOnlyTheFirstHalf) {
+  FlashModel flash;
+  flash.program(0x5000, std::vector<std::uint8_t>(FlashModel::kSectorSize, 0));
+  flash.set_sector_erase_hook([](std::size_t) { return true; });
+  EXPECT_FALSE(flash.erase_sector(0x5000));
+  EXPECT_TRUE(flash.is_erased(0x5000, FlashModel::kSectorSize / 2));
+  EXPECT_EQ(flash.read(0x5000 + FlashModel::kSectorSize / 2,
+                       FlashModel::kSectorSize / 2),
+            std::vector<std::uint8_t>(FlashModel::kSectorSize / 2, 0));
+}
+
+TEST(FlashModel, ViewIsOneSpanAcrossWrittenAndUntouchedSectors) {
+  FlashModel flash;
+  // Straddle the boundary of sectors 1 and 2; sector 3 stays untouched.
+  const std::size_t at = 2 * FlashModel::kSectorSize - 3;
+  flash.program(at, std::vector<std::uint8_t>{0x11, 0x22, 0x33, 0x44, 0x55});
+  auto bytes = flash.view(FlashModel::kSectorSize, 3 * FlashModel::kSectorSize);
+  ASSERT_EQ(bytes.size(), 3 * FlashModel::kSectorSize);
+  std::vector<std::uint8_t> expect(3 * FlashModel::kSectorSize, 0xFF);
+  const std::size_t rel = at - FlashModel::kSectorSize;
+  for (std::uint8_t i = 0; i < 5; ++i)
+    expect[rel + i] = static_cast<std::uint8_t>(0x11 * (i + 1));
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expect.begin()));
+  EXPECT_FALSE(flash.is_erased(at + 4, 1));
+  EXPECT_TRUE(flash.is_erased(at + 5, 2 * FlashModel::kSectorSize));
+}
+
+TEST(FlashModel, MovesCarryTheCellsAndCounters) {
+  FlashModel flash;
+  flash.program(0x700, std::vector<std::uint8_t>{0x5A});
+  flash.erase_sector(0x9000);
+  FlashModel moved = std::move(flash);
+  EXPECT_EQ(moved.read(0x700, 1)[0], 0x5A);
+  EXPECT_EQ(moved.erase_count(), 1u);
+  EXPECT_TRUE(moved.is_erased(0x701, FlashModel::kSectorSize));
 }
 
 TEST(FlashModel, EightMegabytesStoresMultipleBitstreams) {
