@@ -12,8 +12,7 @@
 // Headline scalars: Msamples/s per path and speedup_spsc_vs_copy (the
 // acceptance bar is >= 5x). `deterministic_match` checks the threaded
 // sink output is byte-identical to the single-thread schedule, and
-// `copy_match_max_err` bounds the numeric difference against the copy
-// engine's output.
+// `copy_match_ok` that the copy engine's output has the same values.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -241,10 +240,10 @@ int main(int argc, char** argv) {
   run.scalar("speedup_threaded_vs_copy", copy_s / thr_s);
   run.scalar("speedup_best_vs_copy", copy_s / std::min(spsc_s, thr_s));
   run.scalar("deterministic_match", identical ? 1.0 : 0.0);
-  // Boolean, not the raw error: the FIR kernel's FMA dispatch makes the
-  // last ulp machine-dependent, so the exact max_err cannot be gated
-  // against a baseline recorded elsewhere.
-  run.scalar("copy_match_ok", max_err < 1e-5 ? 1.0 : 0.0);
+  // Both FIRs add the same rounded products in the same order on every
+  // host, so the outputs are equal (the copy engine's +0 accumulator can
+  // only flip the sign of a zero, which the difference does not see).
+  run.scalar("copy_match_ok", max_err == 0.0 ? 1.0 : 0.0);
   run.scalar("sink_samples", static_cast<double>(spsc_out.size()));
 
   std::cout << "\nZero-copy speedup over the copy engine: "
@@ -252,5 +251,5 @@ int main(int argc, char** argv) {
             << (identical ? "byte-identical to single-thread."
                           : "DIVERGED — determinism bug!")
             << " (copy-path max err " << max_err << ")\n";
-  return identical && max_err < 1e-5 ? 0 : 1;
+  return identical && max_err == 0.0 ? 0 : 1;
 }

@@ -12,7 +12,7 @@ cmake --preset default
 cmake --build --preset default -j"$(nproc)"
 ctest --preset default -j"$(nproc)"
 
-echo "== build check: scoped -fcx-limited-range (GCC) =="
+echo "== build check: one SIMD dispatch site, exact-float objects =="
 scripts/check_cx_range.sh build
 
 have_python=1
@@ -182,11 +182,11 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build --preset asan-ubsan -j"$(nproc)"
   ctest --preset asan-ubsan -j"$(nproc)"
 
-  echo "== tier-1: TSan build (exec + campaign + flow suites) =="
+  echo "== tier-1: TSan build (exec + campaign + flow + serve suites) =="
   cmake --preset tsan
   cmake --build --preset tsan -j"$(nproc)"
   ctest --preset tsan -j"$(nproc)" \
-    -R "SeedStreams|ParallelFor|WorkerPool|RunPinned|CancelSweep|ParallelCampaign|Campaign|FaultCampaign|SpscRing|FlowThreaded"
+    -R "SeedStreams|ParallelFor|WorkerPool|RunPinned|CancelSweep|ParallelCampaign|Campaign|FaultCampaign|SpscRing|FlowThreaded|Server\."
 fi
 
 echo "verify: OK"

@@ -7,15 +7,15 @@
 // 2^15 ulps of it, and the kernel stays far inside that (see
 // tests/common/gaussian_kernel_test.cpp). Flagged pairs are recomputed
 // with the scalar libm formula of Rng::next_gaussian.
+// Since the guard makes them exact, rng.cpp may use FMA and is not built
+// with tinysdr_exact_float.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TINYSDR_GAUSSIAN_AVX2 1
-#endif
+#include "common/simd.hpp"
 
 namespace tinysdr::detail {
 
@@ -35,14 +35,11 @@ constexpr bool near_float_tie(double x) {
 void round_pairs(const double* u1, const double* u2, const double* c,
                  const double* s, std::size_t pairs, float* out);
 
-#if defined(TINYSDR_GAUSSIAN_AVX2)
-/// True when this CPU runs the AVX2+FMA kernel.
-bool box_muller_avx2_supported();
-
+#if defined(TINYSDR_AVX2)
 /// For i < n (a multiple of 4): c[i] = sqrt(-2 ln u1[i]) * cos(2π u2[i])
 /// and s[i] = the same with sin, for u1 in (0, 1] and u2 in [0, 1).
 /// The angle is the double product 2π·u2, as in Rng::next_gaussian. Only
-/// call it when box_muller_avx2_supported().
+/// call it when simd::avx2().
 void box_muller_avx2(const double* u1, const double* u2, double* c, double* s,
                      std::size_t n);
 #endif

@@ -5,7 +5,7 @@
 
 #include "common/gaussian_kernel.hpp"
 
-#if defined(TINYSDR_GAUSSIAN_AVX2)
+#if defined(TINYSDR_AVX2)
 #include <immintrin.h>
 #endif
 
@@ -31,13 +31,7 @@ void round_pairs(const double* u1, const double* u2, const double* c,
   }
 }
 
-#if defined(TINYSDR_GAUSSIAN_AVX2)
-bool box_muller_avx2_supported() {
-  static const bool kSupported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return kSupported;
-}
-
+#if defined(TINYSDR_AVX2)
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 namespace {
@@ -153,8 +147,8 @@ void box_muller_avx2(const double* u1, const double* u2, double* c, double* s,
 
 void Rng::fill_gaussian(std::span<float> out) {
   std::size_t i = 0;
-#if defined(TINYSDR_GAUSSIAN_AVX2)
-  if (detail::box_muller_avx2_supported()) {
+#if defined(TINYSDR_AVX2)
+  if (simd::avx2()) {
     constexpr std::size_t kPairs = 64;  // the four arrays take 2 KB of stack
     if (has_cached_ && !out.empty()) {
       out[i++] = static_cast<float>(cached_);

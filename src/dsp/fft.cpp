@@ -5,10 +5,10 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "common/simd.hpp"
 #include "obs/profile.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TINYSDR_FFT_AVX2 1
+#if defined(TINYSDR_AVX2)
 #include <immintrin.h>
 #endif
 
@@ -30,7 +30,7 @@ void stage_scalar(Complex* data, std::size_t size, std::size_t half,
   }
 }
 
-#if defined(TINYSDR_FFT_AVX2)
+#if defined(TINYSDR_AVX2)
 // stage_scalar four butterflies at a time (half a multiple of 4). With
 // v = a + bi and w = c + di, addsub(v·(c, c), (b, a)·(d, d)) is
 // (ac − bd, bc + ad): the products and sums -fcx-limited-range emits for
@@ -100,17 +100,14 @@ void FftPlan::forward(std::span<Complex> data) const {
   }
 
   // Stages with half >= 4 run four butterflies per AVX2 iteration where
-  // the CPU has it; the first two stages and other hosts run the scalar
-  // loop.
-  std::size_t scalar_end = size_;
-#if defined(TINYSDR_FFT_AVX2)
-  static const bool kHasAvx2 = __builtin_cpu_supports("avx2");
-  if (kHasAvx2) scalar_end = std::min<std::size_t>(4, size_);
-#endif
+  // simd::avx2() allows it; the first two stages and other hosts run the
+  // scalar loop.
+  const std::size_t scalar_end =
+      simd::avx2() ? std::min<std::size_t>(4, size_) : size_;
   std::size_t half = 1;
   for (; half < scalar_end; half <<= 1)
     stage_scalar(data.data(), size_, half, twiddles_.data() + half - 1);
-#if defined(TINYSDR_FFT_AVX2)
+#if defined(TINYSDR_AVX2)
   for (; half < size_; half <<= 1)
     stage_avx2(data.data(), size_, half, twiddles_.data() + half - 1);
 #endif

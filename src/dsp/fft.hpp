@@ -5,11 +5,11 @@
 // the FPGA instantiates one core per configuration.
 //
 // The scalar decimation-in-time loop (stage_scalar in fft.cpp) defines
-// the output bytes. On x86-64 CPUs with AVX2, chosen once at run time by
-// __builtin_cpu_supports, stages with half >= 4 run four butterflies per
-// iteration with the same products and sums, so the bytes do not depend
-// on the CPU (pinned by tests/dsp/fft_pin_test.cpp). Both loops read one
-// table that holds each stage's twiddles contiguously.
+// the output bytes. Where simd::avx2() allows it (common/simd.hpp),
+// stages with half >= 4 run four butterflies per iteration with the same
+// products and sums, so the bytes do not depend on the CPU (pinned by
+// tests/dsp/fft_pin_test.cpp). Both loops read one table that holds each
+// stage's twiddles contiguously.
 #pragma once
 
 #include <cstddef>

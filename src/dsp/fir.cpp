@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/simd.hpp"
 #include "obs/profile.hpp"
 
 namespace tinysdr::dsp {
@@ -11,17 +12,13 @@ namespace {
 // One cache-resident tile of the block FIR, over flattened I/Q floats:
 // tap-outer, sample-inner, so every inner loop is a stride-1
 // multiply-accumulate. Each output element still receives its taps in
-// ascending-k order — the same operand values and order as a direct-form
-// loop (modulo FMA contraction) — and the loop shape is identical for
-// every chunking, so splitting a stream across calls cannot change the
-// bytes.
+// ascending-k order, each product rounded (tinysdr_exact_float): the same
+// operations as a direct-form loop, for every chunking and in the AVX2
+// build of the loop that simd::avx2() picks.
 //
 // restrict is sound: dst is caller storage, base points into either the
 // filter's private scratch copy or the caller's input — never the
-// output. On x86-64 the kernel gets an AVX2+FMA variant selected once
-// at runtime by feature check (not target_clones("arch=..."), which
-// dispatches on CPU *model* and misses other AVX2 parts); the baseline
-// build keeps old machines working.
+// output.
 [[gnu::always_inline]] inline void fir_tile_body(
     float* __restrict__ dst, const float* __restrict__ base,
     const float* taps, std::size_t tap_count, std::size_t len) {
@@ -34,8 +31,8 @@ namespace {
   }
 }
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-__attribute__((target("avx2,fma"))) void fir_tile_avx2(
+#if defined(TINYSDR_AVX2)
+__attribute__((target("avx2"))) void fir_tile_avx2(
     float* __restrict__ dst, const float* __restrict__ base,
     const float* taps, std::size_t tap_count, std::size_t len) {
   fir_tile_body(dst, base, taps, tap_count, len);
@@ -44,10 +41,8 @@ __attribute__((target("avx2,fma"))) void fir_tile_avx2(
 
 void fir_tile(float* __restrict__ dst, const float* __restrict__ base,
               const float* taps, std::size_t tap_count, std::size_t len) {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-  static const bool kHasAvx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (kHasAvx2) {
+#if defined(TINYSDR_AVX2)
+  if (simd::avx2()) {
     fir_tile_avx2(dst, base, taps, tap_count, len);
     return;
   }
@@ -140,18 +135,9 @@ void FirFilter::filter_into(std::span<const Complex> in,
   head_ = (head_ + n) % T;
 }
 
-// Every product is rounded before it is added: this kernel stays out of
-// the avx2,fma target, and fp-contract=off keeps -march flags that add
-// FMA from fusing it.
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
 std::size_t FirFilter::decimate(std::span<const Complex> in,
                                 std::size_t first, std::size_t step,
                                 std::span<Complex> out) const {
-#if defined(__clang__)
-#pragma clang fp contract(off)
-#endif
   if (step == 0) throw std::invalid_argument("FirFilter::decimate: step 0");
   const std::size_t count =
       first < in.size() ? (in.size() - first - 1) / step + 1 : 0;

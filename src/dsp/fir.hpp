@@ -37,11 +37,12 @@ class FirFilter {
   /// continuing from previous calls with the same state semantics as
   /// filter(). Each output accumulates taps in ascending order over a
   /// contiguous history scratch with a vectorizable tap-outer inner loop
-  /// and no allocation, so results can differ from a direct-form
-  /// per-sample loop in the last ulp (FMA contraction). Chunking is
-  /// invisible: any split of a stream through filter_into produces
-  /// identical bytes. This is the streaming engine's hot path
-  /// (flow::FirBlock writes straight into a ring's WriteView).
+  /// and no allocation. Every output is byte-identical to a direct-form
+  /// loop that starts from x[i]*h[0] and adds x[i-k]*h[k] in ascending k,
+  /// each product rounded (no FMA contraction), on every host; so any
+  /// split of a stream through filter_into produces identical bytes.
+  /// This is the streaming engine's hot path (flow::FirBlock writes
+  /// straight into a ring's WriteView).
   void filter_into(std::span<const Complex> in, std::span<Complex> out);
 
   /// Decimating block filter from zero history: writes the outputs at

@@ -4,14 +4,15 @@
 #include <cmath>
 #include <stdexcept>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TINYSDR_QUANTIZER_AVX2 1
+#include "common/simd.hpp"
+
+#if defined(TINYSDR_AVX2)
 #include <immintrin.h>
 #endif
 
 namespace tinysdr::radio {
 
-#if defined(TINYSDR_QUANTIZER_AVX2)
+#if defined(TINYSDR_AVX2)
 namespace {
 
 // dequantize(quantize(x)) over x[i, end), end - i a multiple of 8, eight
@@ -94,9 +95,8 @@ void IqQuantizer::roundtrip_in_place(std::span<dsp::Complex> block) const {
   auto* x = reinterpret_cast<float*>(block.data());
   const std::size_t n = 2 * block.size();
   std::size_t i = 0;
-#if defined(TINYSDR_QUANTIZER_AVX2)
-  static const bool kHasAvx2 = __builtin_cpu_supports("avx2");
-  if (kHasAvx2) {
+#if defined(TINYSDR_AVX2)
+  if (simd::avx2()) {
     // A block holding a NaN runs quantize() itself, so a NaN keeps its
     // lround mapping.
     const std::size_t vector_end = n & ~std::size_t{7};

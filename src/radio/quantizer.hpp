@@ -6,10 +6,10 @@
 // mid-tread uniform quantizer with saturation.
 //
 // The scalar quantize()/dequantize() pair defines the round trip's bytes.
-// roundtrip_in_place() runs it eight floats per iteration on x86-64 CPUs
-// with AVX2, chosen once at run time by __builtin_cpu_supports, with the
-// same division, rounding and saturation; blocks holding a NaN and the
-// tail run the scalar pair (pinned by tests/radio/quantizer_pin_test.cpp).
+// Where simd::avx2() allows it (common/simd.hpp), roundtrip_in_place()
+// runs it eight floats per iteration with the same division, rounding and
+// saturation; blocks holding a NaN and the tail run the scalar pair
+// (pinned by tests/radio/quantizer_pin_test.cpp).
 #pragma once
 
 #include <cstdint>

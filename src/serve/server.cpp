@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -9,12 +10,16 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "serve/engine.hpp"
 
 namespace tinysdr::serve {
 
 namespace {
+
+// Open client connections served at once; more wait to be accepted.
+constexpr std::size_t kMaxConnections = 64;
 
 bool send_all(int fd, const std::string& data) {
   std::size_t sent = 0;
@@ -111,57 +116,68 @@ void Server::runner_loop() {
   }
 }
 
-void Server::handle_connection(int fd) {
-  std::string buffer;
+bool Server::read_requests(int fd, std::string& buffer) {
   char chunk[4096];
-  while (!stop_.load()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // client hung up
-    buffer.append(chunk, static_cast<std::size_t>(n));
+  const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+  if (n < 0) return errno == EINTR;
+  if (n == 0) return false;  // client hung up
+  buffer.append(chunk, static_cast<std::size_t>(n));
 
-    for (;;) {
-      const std::size_t newline = buffer.find('\n');
-      const std::size_t line_bytes =
-          newline == std::string::npos ? buffer.size() : newline;
-      if (line_bytes > kMaxRequestLine) {
-        (void)send_all(fd, "{\"ok\":false,\"error\":\"request line exceeds " +
-                               std::to_string(kMaxRequestLine) +
-                               " bytes\"}\n");
-        return;
-      }
-      if (newline == std::string::npos) break;
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line.empty()) continue;
-      Response response = handle_line(*engine_, line);
-      std::string out;
-      for (const std::string& l : response.lines) {
-        out += l;
-        out += "\n";
-      }
-      if (!send_all(fd, out)) return;
-      if (response.shutdown) {
-        stop();
-        return;
-      }
+  for (;;) {
+    const std::size_t newline = buffer.find('\n');
+    const std::size_t line_bytes =
+        newline == std::string::npos ? buffer.size() : newline;
+    if (line_bytes > kMaxRequestLine) {
+      (void)send_all(fd, "{\"ok\":false,\"error\":\"request line exceeds " +
+                             std::to_string(kMaxRequestLine) + " bytes\"}\n");
+      return false;
+    }
+    if (newline == std::string::npos) return true;
+    const std::string line = buffer.substr(0, newline);
+    buffer.erase(0, newline + 1);
+    if (line.empty()) continue;
+    Response response = handle_line(*engine_, line);
+    std::string out;
+    for (const std::string& l : response.lines) {
+      out += l;
+      out += "\n";
+    }
+    if (!send_all(fd, out)) return false;
+    if (response.shutdown) {
+      stop();
+      return false;
     }
   }
 }
 
 void Server::serve_forever() {
+  // polls[0] is the listener; polls[i] and buffers[i] are connection i's.
+  std::vector<pollfd> polls{{listen_fd_, POLLIN, 0}};
+  std::vector<std::string> buffers(1);
   while (!stop_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+    // At the cap, new clients wait in the listen backlog. The timeout
+    // lets the loop see stop().
+    polls[0].events = polls.size() > kMaxConnections ? 0 : POLLIN;
+    if (::poll(polls.data(), polls.size(), 100) < 0) {
       if (errno == EINTR) continue;
-      break;  // listener shut down
+      break;
     }
-    handle_connection(fd);
-    ::close(fd);
+    for (std::size_t i = polls.size() - 1; i > 0; --i) {
+      if (polls[i].revents == 0) continue;
+      if (!stop_.load() && read_requests(polls[i].fd, buffers[i])) continue;
+      ::close(polls[i].fd);
+      polls.erase(polls.begin() + static_cast<std::ptrdiff_t>(i));
+      buffers.erase(buffers.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    const int fd = polls[0].revents & POLLIN
+                       ? ::accept(listen_fd_, nullptr, nullptr)
+                       : -1;
+    if (fd >= 0) {
+      polls.push_back({fd, POLLIN, 0});
+      buffers.emplace_back();
+    }
   }
+  for (std::size_t i = 1; i < polls.size(); ++i) ::close(polls[i].fd);
 }
 
 void Server::stop() {

@@ -2,12 +2,11 @@
 // over a Unix-domain socket or local (127.0.0.1) TCP, plus the runner
 // thread that drains the engine's job queue.
 //
-// Connections are handled one at a time in the accept loop — clients are
-// short-lived CLI invocations, and job execution happens on the runner
-// thread (with its own exec-pool parallelism), so the accept path is
-// never the bottleneck. Tests run serve_forever() on a std::thread, speak
-// the protocol over a socketpair-style client, then stop() — no separate
-// process needed.
+// One thread polls the listener and every open connection (up to a fixed
+// cap), each with its own line buffer, so an idle or polling client never
+// holds up another; jobs run on the runner thread. Tests run
+// serve_forever() on a std::thread, speak the protocol over a
+// socketpair-style client, then stop() — no separate process needed.
 #pragma once
 
 #include <atomic>
@@ -51,7 +50,9 @@ class Server {
 
  private:
   void runner_loop();
-  void handle_connection(int fd);
+  /// One recv into the connection's buffer, then an answer to each
+  /// complete line. False when the connection is to be closed.
+  bool read_requests(int fd, std::string& buffer);
 
   Engine* engine_;
   ServerConfig config_;

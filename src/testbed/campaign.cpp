@@ -158,12 +158,6 @@ CampaignResult run_campaign(const Deployment& deployment,
   return result;
 }
 
-CampaignResult run_campaign(const Deployment& deployment,
-                            const fpga::FirmwareImage& image,
-                            ota::UpdateTarget target, Rng& rng) {
-  return run_campaign(deployment, image, target, rng, exec::ExecPolicy{});
-}
-
 namespace {
 
 FaultCampaignEntry summarize(std::string name,
@@ -301,14 +295,6 @@ FaultCampaignResult run_fault_campaign(
   maybe_dump_flight("fault-campaign:" + image.name, failed,
                     result.exec_status);
   return result;
-}
-
-FaultCampaignResult run_fault_campaign(
-    const Deployment& deployment, const fpga::FirmwareImage& image,
-    ota::UpdateTarget target, const std::vector<FaultScenario>& scenarios,
-    Rng& rng) {
-  return run_fault_campaign(deployment, image, target, scenarios, rng,
-                            exec::ExecPolicy{});
 }
 
 }  // namespace tinysdr::testbed

@@ -40,18 +40,13 @@ struct CampaignResult {
 };
 
 /// Update every node in the deployment with the given image, sharded
-/// across the exec worker pool under `policy`. The RNG supplies one
-/// campaign base seed; every per-node seed is derived from it up front,
-/// independent of execution order.
-[[nodiscard]] CampaignResult run_campaign(const Deployment& deployment,
-                                          const fpga::FirmwareImage& image,
-                                          ota::UpdateTarget target, Rng& rng,
-                                          const exec::ExecPolicy& policy);
-
-/// Auto policy: thread count from TINYSDR_THREADS / hardware concurrency.
-[[nodiscard]] CampaignResult run_campaign(const Deployment& deployment,
-                                          const fpga::FirmwareImage& image,
-                                          ota::UpdateTarget target, Rng& rng);
+/// across the exec worker pool under `policy` (by default the thread
+/// count comes from TINYSDR_THREADS / hardware concurrency). The RNG
+/// supplies one campaign base seed; every per-node seed is derived from it
+/// up front, independent of execution order.
+[[nodiscard]] CampaignResult run_campaign(
+    const Deployment& deployment, const fpga::FirmwareImage& image,
+    ota::UpdateTarget target, Rng& rng, const exec::ExecPolicy& policy = {});
 
 // ----------------------------------------------------- fault campaigns
 
@@ -126,13 +121,7 @@ struct FaultCampaignResult {
 [[nodiscard]] FaultCampaignResult run_fault_campaign(
     const Deployment& deployment, const fpga::FirmwareImage& image,
     ota::UpdateTarget target, const std::vector<FaultScenario>& scenarios,
-    Rng& rng, const exec::ExecPolicy& policy);
-
-/// Auto policy: thread count from TINYSDR_THREADS / hardware concurrency.
-[[nodiscard]] FaultCampaignResult run_fault_campaign(
-    const Deployment& deployment, const fpga::FirmwareImage& image,
-    ota::UpdateTarget target, const std::vector<FaultScenario>& scenarios,
-    Rng& rng);
+    Rng& rng, const exec::ExecPolicy& policy = {});
 
 /// Per-node link seed derivation used by both campaign runners: high bits
 /// from exec::stream_seed(pass_base, node id), node id packed in the low

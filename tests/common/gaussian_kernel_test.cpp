@@ -21,7 +21,7 @@
 namespace tinysdr::detail {
 namespace {
 
-#if defined(TINYSDR_GAUSSIAN_AVX2)
+#if defined(TINYSDR_AVX2)
 constexpr double kTwo32 = 4294967296.0;
 
 /// The uniforms the sweep feeds the kernel: k / 2^32 for a strided sweep
@@ -99,7 +99,7 @@ void expect_margin(const Margin& m) {
 }
 
 TEST(GaussianKernel, LogMarginOverTheUniformGrid) {
-  if (!box_muller_avx2_supported()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  if (!simd::avx2()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
   std::vector<double> u1;
   for (double u : sweep_uniforms())
     if (u > 1e-12) u1.push_back(u);
@@ -111,7 +111,7 @@ TEST(GaussianKernel, LogMarginOverTheUniformGrid) {
 }
 
 TEST(GaussianKernel, SinCosMarginOverTheUniformGrid) {
-  if (!box_muller_avx2_supported()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  if (!simd::avx2()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
   const std::vector<double> u2 = sweep_uniforms();
   // Magnitudes below, near and above 1, and the largest one (u1 = 2^-32).
   for (double u1 : {0.75, std::exp(-0.5), 0x1p-10, 0x1p-32}) {
@@ -121,7 +121,7 @@ TEST(GaussianKernel, SinCosMarginOverTheUniformGrid) {
 }
 
 TEST(GaussianKernel, PairedMarginOverTheUniformGrid) {
-  if (!box_muller_avx2_supported()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  if (!simd::avx2()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
   const std::vector<double> u = sweep_uniforms();
   std::vector<double> u1;
   std::vector<double> u2;

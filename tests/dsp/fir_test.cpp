@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -154,6 +155,77 @@ TEST(FirFilter, DecimateIsByteEqualToDirectForm) {
         }
       }
     }
+  }
+}
+
+/// Direct-form reference of the streaming filter from a fresh delay line:
+/// each output starts from x[i]*h[0] and adds x[i-k]*h[k] in ascending k,
+/// rail by rail, each product rounded, with +0 history before the stream.
+Samples reference_filter(const std::vector<float>& taps, const Samples& in) {
+  Samples out;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    float re = in[i].real() * taps[0];
+    float im = in[i].imag() * taps[0];
+    for (std::size_t k = 1; k < taps.size(); ++k) {
+      const Complex x = i >= k ? in[i - k] : Complex{0.0f, 0.0f};
+      re += x.real() * taps[k];
+      im += x.imag() * taps[k];
+    }
+    out.emplace_back(re, im);
+  }
+  return out;
+}
+
+TEST(FirFilter, FilterIsByteEqualToDirectFormAtEveryChunking) {
+  Rng rng{0xF1F, 5};
+  auto uniform = [&rng] {
+    return static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  };
+  // Long enough to cross the kernel's 2048-sample tiles.
+  Samples x(5000);
+  for (auto& v : x) {
+    v = rng.next_below(8) == 0 ? Complex{-0.0f, uniform()}
+                               : Complex{uniform(), uniform()};
+  }
+  for (std::size_t t : {1u, 2u, 5u, 14u, 31u}) {
+    std::vector<float> taps(t);
+    for (auto& h : taps) h = uniform();  // mixed signs
+    const Samples want = reference_filter(taps, x);
+    auto expect_bytes = [&](const Samples& got, const char* how) {
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(Complex)), 0)
+            << how << ": taps " << t << ", first difference at " << i;
+    };
+
+    FirFilter whole{taps};
+    expect_bytes(whole.filter(x), "filter");
+    // Chunks shorter than the history, one tile plus one, and mixed.
+    for (std::size_t chunk : {1u, 7u, 13u, 2049u, 4999u}) {
+      FirFilter f{taps};
+      Samples got(x.size());
+      for (std::size_t i = 0; i < x.size(); i += chunk) {
+        const std::size_t len = std::min(chunk, x.size() - i);
+        f.filter_into(std::span{x}.subspan(i, len),
+                      std::span{got}.subspan(i, len));
+      }
+      expect_bytes(got, "filter_into");
+    }
+    FirFilter random{taps};
+    Samples got(x.size());
+    for (std::size_t i = 0; i < x.size();) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.next_below(300), x.size() - i);
+      random.filter_into(std::span{x}.subspan(i, len),
+                         std::span{got}.subspan(i, len));
+      i += len;
+    }
+    expect_bytes(got, "filter_into, random chunks");
+    // In place: the block overlaps its output and is staged whole.
+    FirFilter in_place{taps};
+    got = x;
+    in_place.filter_into(got, got);
+    expect_bytes(got, "filter_into in place");
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hpp"
 #include "dsp/fft.hpp"
 
@@ -59,10 +61,11 @@ TEST(FlowGraph, FirBlockMatchesDirectFilter) {
   dsp::FirFilter direct{taps};
   auto expected = direct.filter(data);
   ASSERT_EQ(sink->data().size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(sink->data()[i].real(), expected[i].real(), 1e-6) << i;
-    EXPECT_NEAR(sink->data()[i].imag(), expected[i].imag(), 1e-6) << i;
-  }
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(std::memcmp(&sink->data()[i], &expected[i],
+                          sizeof(dsp::Complex)),
+              0)
+        << i;
 }
 
 TEST(FlowGraph, DecimatorKeepsEveryNth) {

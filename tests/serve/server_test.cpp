@@ -9,7 +9,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -261,6 +264,75 @@ TEST(Server, OverlongRequestLineIsRefusedAndTheConnectionClosed) {
   }
 
   accept_thread.join();
+  ::unlink(socket_path.c_str());
+}
+
+/// Asks for a ping on `client` and reports whether the pong came back.
+bool pinged(TestClient& client) {
+  std::string reply;
+  return client.send_line(R"({"type":"ping"})") && client.read_line(reply) &&
+         reply.find("\"pong\":true") != std::string::npos;
+}
+
+TEST(Server, IdleClientDoesNotHoldUpAnother) {
+  const std::string socket_path = testing::TempDir() + "serve_idle.sock";
+  Engine engine{phy::Registry::builtin(), {}};
+  ServerConfig config;
+  config.unix_socket = socket_path;
+  Server server{engine, config};
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  std::thread accept_thread{[&server] { server.serve_forever(); }};
+
+  {
+    // The first client is served once, then goes quiet halfway through a
+    // request line, as a client polling over a held connection does
+    // between polls.
+    TestClient idle{socket_path};
+    ASSERT_TRUE(idle.connected());
+    EXPECT_TRUE(pinged(idle));
+    ASSERT_TRUE(idle.send_raw(R"({"type":)"));
+
+    TestClient other{socket_path};
+    ASSERT_TRUE(other.connected());
+    EXPECT_TRUE(pinged(other));
+
+    // The half line stayed in the idle client's own buffer.
+    ASSERT_TRUE(idle.send_raw("\"ping\"}\n"));
+    std::string reply;
+    ASSERT_TRUE(idle.read_line(reply));
+    EXPECT_NE(reply.find("\"pong\":true"), std::string::npos) << reply;
+  }
+
+  server.stop();
+  accept_thread.join();
+  ::unlink(socket_path.c_str());
+}
+
+TEST(Server, StopReturnsWhileAClientIsIdle) {
+  const std::string socket_path = testing::TempDir() + "serve_stop.sock";
+  Engine engine{phy::Registry::builtin(), {}};
+  ServerConfig config;
+  config.unix_socket = socket_path;
+  Server server{engine, config};
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  std::promise<void> returned;
+  std::future<void> serve_done = returned.get_future();
+  std::thread accept_thread{[&server, &returned] {
+    server.serve_forever();
+    returned.set_value();
+  }};
+
+  auto idle = std::make_unique<TestClient>(socket_path);
+  ASSERT_TRUE(idle->connected());
+  EXPECT_TRUE(pinged(*idle));  // the server holds the connection now
+  server.stop();
+  const bool stopped = serve_done.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  idle.reset();  // lets a server stuck on the client return, so join ends
+  accept_thread.join();
+  EXPECT_TRUE(stopped) << "serve_forever() kept waiting on the idle client";
   ::unlink(socket_path.c_str());
 }
 
