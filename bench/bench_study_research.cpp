@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < nodes; ++i)
       links.emplace_back(ota::ota_link_params(), Dbm{-100.0},
                          Rng{static_cast<std::uint64_t>(500 + i)});
-    ota::BroadcastUpdater updater;
-    auto b = updater.broadcast(image, links);
+    auto b = ota::broadcast(image, links);
 
     ota::AccessPoint ap;
     Seconds sequential{0.0};

@@ -1,5 +1,5 @@
 // TinySdrDevice — the top-level facade wiring the whole platform together:
-// AT86RF215 I/Q radio, RF front ends and switch, FPGA (designs programmed
+// AT86RF215 I/Q radio, RF front ends, FPGA (designs programmed
 // from flash), MSP432 controller, backbone SX1276, PMU and energy ledger.
 //
 // This is the object a testbed script manipulates: wake it (22 ms, FPGA
@@ -100,7 +100,6 @@ class TinySdrDevice {
   radio::At86rf215 radio_;
   radio::Frontend frontend_900_;
   radio::Frontend frontend_2400_;
-  radio::RfSwitch rf_switch_;
   fpga::ProgrammingModel fpga_prog_;
   ota::FlashModel flash_;
   ota::FirmwareStore store_;

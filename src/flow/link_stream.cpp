@@ -12,13 +12,29 @@ namespace tinysdr::flow {
 void FrameSchedule::push(FrameEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.push_back(std::move(entry));
+  peak_live_ = std::max(peak_live_, entries_.size());
 }
 
 const FrameEntry* FrameSchedule::at(std::size_t cursor) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // deque growth never relocates existing elements, so the pointer stays
-  // valid after the lock drops; entries are immutable once pushed.
-  return cursor < entries_.size() ? &entries_[cursor] : nullptr;
+  // Pushing to or popping from either end of a deque never relocates the
+  // other elements, so the pointer stays valid after the lock drops until
+  // its entry is retired; entries are immutable once pushed.
+  const std::size_t i = cursor - retired_;
+  return i < entries_.size() ? &entries_[i] : nullptr;
+}
+
+void FrameSchedule::pass(Reader reader, std::size_t cursor) {
+  std::lock_guard<std::mutex> lock(mu_);
+  passed_[static_cast<std::size_t>(reader)] = cursor;
+  const std::size_t done = std::min(passed_[0], passed_[1]);
+  for (; retired_ < done && !entries_.empty(); ++retired_)
+    entries_.pop_front();
+}
+
+std::size_t FrameSchedule::peak_live() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return peak_live_;
 }
 
 FrameStreamSource::FrameStreamSource(const phy::LinkSimulator& sim,
@@ -81,7 +97,7 @@ bool FrameStreamSource::finished() const {
   return frame_idx_ >= plan_->trial.trials && gap_left_ == 0;
 }
 
-AwgnStreamBlock::AwgnStreamBlock(const FrameSchedule* schedule,
+AwgnStreamBlock::AwgnStreamBlock(FrameSchedule* schedule,
                                  const phy::LinkSimulator& sim, Dbm rssi)
     : Block("awgn_channel"),
       schedule_(schedule),
@@ -124,6 +140,7 @@ WorkResult AwgnStreamBlock::work(const ReadView& in, WriteView& out) {
     }
     i += run;
   }
+  schedule_->pass(FrameSchedule::Reader::kChannel, cursor_);
   return {n, n};
 }
 
@@ -158,6 +175,7 @@ WorkResult FrameSlicerSink::work(const ReadView& in, WriteView&) {
     }
     i += run;
   }
+  schedule_->pass(FrameSchedule::Reader::kSlicer, cursor_);
   return {n, 0};
 }
 
@@ -180,6 +198,7 @@ StreamResult StreamingLink::run(const phy::SweepPoint& point,
   result.report = threaded ? graph.run_threaded() : graph.run();
   result.point = sink->result();
   result.point.rssi_dbm = point.rssi.value();
+  result.frames_live_peak = schedule.peak_live();
 
   if (auto* m = obs::metrics()) {
     m->counter("flow.stream.frames")

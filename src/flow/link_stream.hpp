@@ -24,6 +24,7 @@
 // run_threaded().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -58,21 +59,33 @@ struct FrameEntry {
   std::vector<std::uint8_t> payload;
 };
 
-/// Append-only, position-ordered frame metadata shared by the source and
-/// the downstream channel/slicer blocks. The source publishes an entry
-/// before committing any of the region's samples, so by the time a
-/// consumer's ReadView covers a position, its entry is visible; each
-/// consumer walks the schedule with its own cursor.
+/// Position-ordered frame metadata shared by the source and the downstream
+/// channel/slicer blocks. The source publishes an entry before committing
+/// any of the region's samples, so by the time a reader's ReadView covers
+/// a position, its entry is visible. Each reader walks the schedule with
+/// its own cursor, and an entry is retired once both readers have passed
+/// it, so the schedule holds the frames in flight between the source and
+/// the slicer, not the whole stream.
 class FrameSchedule {
  public:
+  enum class Reader : std::uint8_t { kChannel, kSlicer };
+
   void push(FrameEntry entry);
-  /// Entry at `cursor`, or nullptr if not published yet. The pointer stays
-  /// valid for the schedule's lifetime (entries are never removed).
+  /// Entry number `cursor` (counting every entry ever pushed), or nullptr
+  /// if not published yet. The pointer stays valid until both readers have
+  /// passed the entry.
   [[nodiscard]] const FrameEntry* at(std::size_t cursor) const;
+  /// `reader` is done with every entry before `cursor`.
+  void pass(Reader reader, std::size_t cursor);
+  /// Most entries held at once.
+  [[nodiscard]] std::size_t peak_live() const;
 
  private:
   mutable std::mutex mu_;
   std::deque<FrameEntry> entries_;
+  std::size_t retired_ = 0;  ///< entries dropped from the front
+  std::array<std::size_t, 2> passed_{};
+  std::size_t peak_live_ = 0;
 };
 
 /// Source: runs the simulator's transmit side for each of the plan's
@@ -107,13 +120,13 @@ class FrameStreamSource : public Block {
 /// what the per-trial engine does.
 class AwgnStreamBlock : public Block {
  public:
-  AwgnStreamBlock(const FrameSchedule* schedule, const phy::LinkSimulator& sim,
+  AwgnStreamBlock(FrameSchedule* schedule, const phy::LinkSimulator& sim,
                   Dbm rssi);
 
   WorkResult work(const ReadView& in, WriteView& out) override;
 
  private:
-  const FrameSchedule* schedule_;
+  FrameSchedule* schedule_;
   const phy::LinkSimulator* sim_;
   double snr_db_ = 0.0;
   std::size_t cursor_ = 0;
@@ -125,7 +138,7 @@ class AwgnStreamBlock : public Block {
 /// payload and trial seed, and aggregates the PointResult.
 class FrameSlicerSink : public Block {
  public:
-  FrameSlicerSink(const phy::LinkSimulator& sim, const FrameSchedule* schedule)
+  FrameSlicerSink(const phy::LinkSimulator& sim, FrameSchedule* schedule)
       : Block("frame_slicer"), sim_(&sim), schedule_(schedule) {}
 
   WorkResult work(const ReadView& in, WriteView& out) override;
@@ -138,7 +151,7 @@ class FrameSlicerSink : public Block {
 
  private:
   const phy::LinkSimulator* sim_;
-  const FrameSchedule* schedule_;
+  FrameSchedule* schedule_;
   std::size_t cursor_ = 0;
   dsp::Samples region_;
   phy::PointResult result_;
@@ -150,6 +163,8 @@ class FrameSlicerSink : public Block {
 struct StreamResult {
   phy::PointResult point;
   RunReport report;
+  /// Most frame entries the schedule held at once.
+  std::size_t frames_live_peak = 0;
 };
 
 /// The streaming trial engine: a LinkSimulator whose trials run as one

@@ -30,7 +30,6 @@ ChirpDirection direction_of(double up_db, double down_db) {
 Demodulator::Demodulator(LoraParams params, Hertz sample_rate,
                          std::size_t fir_taps)
     : params_(params),
-      sample_rate_(sample_rate),
       oversampling_(0),
       // Cutoff at 0.7*BW keeps the chirp band edge flat through the short
       // filter's wide transition band while still rejecting far noise.

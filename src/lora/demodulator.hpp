@@ -89,7 +89,6 @@ class Demodulator {
       std::span<dsp::Complex> scratch) const;
 
   LoraParams params_;
-  Hertz sample_rate_;
   std::uint32_t oversampling_;
   dsp::FirFilter fir_;
   ChirpGenerator chirps_;       ///< critical-rate chirp generator

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace tinysdr::obs {
 
@@ -90,6 +91,32 @@ bool FlightRecorder::dump_to(const std::string& path,
   write_json(out, reason);
   out << "\n";
   return static_cast<bool>(out);
+}
+
+void node_event(FlightLevel level, const char* component, const char* name,
+                const char* counter, const char* arg_key, double arg) {
+  Tracer* t = tracer();
+  Registry* m = metrics();
+  if (t == nullptr && g_flight == nullptr && m == nullptr) return;
+  std::vector<TraceArg> args;
+  if (arg_key != nullptr) args.push_back(TraceArg::num(arg_key, arg));
+  if (t != nullptr) t->instant(component, name, args);
+  if (g_flight != nullptr)
+    g_flight->record(level, component, name, std::move(args));
+  if (m != nullptr) m->counter(counter).add();
+}
+
+void set_time(Seconds t) {
+  if (Tracer* tr = tracer()) tr->set_time(t);
+  if (g_flight != nullptr) g_flight->set_time(t);
+}
+
+void set_node(std::uint16_t id) {
+  if (Tracer* t = tracer()) {
+    t->set_track(id);
+    t->name_track(id, "node-" + std::to_string(id));
+  }
+  if (g_flight != nullptr) g_flight->set_node(id);
 }
 
 std::string dump_flight(std::string_view reason) {

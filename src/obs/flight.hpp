@@ -10,8 +10,9 @@
 //   - Null sink by default: `flight()` is nullptr until a FlightSession
 //     installs a recorder; every site guards on the pointer, so an
 //     uninstrumented run pays one branch and stays bit-identical.
-//   - Sim time, not wall clock: engines mirror the tracer clock
-//     (`set_time`, `shift_base`), so dumps are deterministic per seed.
+//   - Sim time, not wall clock, and the tracer's: engines stamp both
+//     clocks with obs::set_time and campaigns shift both bases in
+//     ItemShards::fold, so dumps are deterministic per seed.
 //   - Bounded memory: fixed-capacity ring, drop-oldest with a count.
 //   - Thread-sharded: parallel campaigns give each unit of work a shard
 //     of the same capacity and absorb() the shards in node-index order
@@ -59,14 +60,13 @@ class FlightRecorder {
   void absorb(const FlightRecorder& shard) { ring_.absorb(shard.ring_); }
 
   // ---------------------------------------------------------- sim clock
-  /// Mirrors the Tracer clock: engines that call Tracer::set_time stamp
-  /// the flight recorder with the same sim time.
+  /// The Tracer's clock: obs::set_time stamps both with the same sim time.
   void set_time(Seconds t) { ring_.set_time(t); }
   void shift_base(Seconds dt) { ring_.shift_base(dt); }
 
   // --------------------------------------------------------------- node
-  /// Node id stamped on subsequent records (campaign shards set this to
-  /// the node they run).
+  /// Node id stamped on subsequent records (obs::set_node, which campaign
+  /// shards call for the node they run).
   void set_node(std::uint32_t node) { node_ = node; }
   [[nodiscard]] std::uint32_t node() const { return node_; }
 
@@ -119,6 +119,25 @@ class FlightSession {
  private:
   FlightRecorder* previous_;
 };
+
+// --------------------------------------------------- every sink at once
+// The calls an engine makes for one simulated node. Each reaches every
+// sink the calling thread has installed, so no site fans out by hand.
+
+/// One node event: a tracer instant and a flight record at `level`, both
+/// `component`/`name` with the numeric arg `arg_key` = `arg` when
+/// `arg_key` is set, and one count on the counter `counter`. With no sink
+/// installed it returns after one test and allocates nothing.
+void node_event(FlightLevel level, const char* component, const char* name,
+                const char* counter, const char* arg_key = nullptr,
+                double arg = 0.0);
+
+/// Engine-relative sim time on the tracer and the flight recorder.
+void set_time(Seconds t);
+
+/// The node subsequent events belong to: the tracer's track (named
+/// "node-<id>") and the flight recorder's node id.
+void set_node(std::uint16_t id);
 
 /// Post-mortem hook: dump the calling thread's recorder to its configured
 /// dump path (falling back to $TINYSDR_FLIGHT_DUMP). Returns the path

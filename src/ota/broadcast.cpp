@@ -4,9 +4,8 @@
 
 namespace tinysdr::ota {
 
-BroadcastOutcome BroadcastUpdater::broadcast(
-    const std::vector<std::uint8_t>& image, std::vector<OtaLink>& links,
-    std::size_t max_rounds) const {
+BroadcastOutcome broadcast(const std::vector<std::uint8_t>& image,
+                           std::vector<OtaLink>& links) {
   BroadcastOutcome outcome;
   const std::size_t packet_count = (image.size() + kDataPayload - 1) /
                                    kDataPayload;
@@ -24,7 +23,7 @@ BroadcastOutcome BroadcastUpdater::broadcast(
       links.empty() ? Seconds{0.0}
                     : links[0].airtime(ack.wire_size() + 8);  // bitmap poll
 
-  for (std::size_t round = 0; round < max_rounds; ++round) {
+  for (std::size_t round = 0; round < kBroadcastMaxRounds; ++round) {
     // Union of missing sequence numbers across incomplete nodes.
     std::vector<std::size_t> to_send;
     for (std::size_t seq = 0; seq < packet_count; ++seq) {

@@ -31,19 +31,12 @@ struct BroadcastOutcome {
   }
 };
 
-class BroadcastUpdater {
- public:
-  explicit BroadcastUpdater(lora::LoraParams params = ota_link_params())
-      : params_(params) {}
+/// Repair rounds a broadcast runs before giving up on the nodes still
+/// incomplete.
+inline constexpr std::size_t kBroadcastMaxRounds = 20;
 
-  /// Broadcast `image` to all `links` (one lossy link per node).
-  /// @param max_rounds  repair-round budget
-  [[nodiscard]] BroadcastOutcome broadcast(
-      const std::vector<std::uint8_t>& image, std::vector<OtaLink>& links,
-      std::size_t max_rounds = 20) const;
-
- private:
-  lora::LoraParams params_;
-};
+/// Broadcast `image` to all `links` (one lossy link per node).
+[[nodiscard]] BroadcastOutcome broadcast(const std::vector<std::uint8_t>& image,
+                                         std::vector<OtaLink>& links);
 
 }  // namespace tinysdr::ota

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -112,16 +113,16 @@ std::uint32_t read_u32(std::span<const std::uint8_t> in, std::size_t at) {
          (static_cast<std::uint32_t>(in[at + 3]) << 24);
 }
 
+/// Payload bytes of DATA chunk `seq` of a `stream_bytes`-byte stream.
+std::size_t chunk_size(std::size_t stream_bytes, std::size_t seq) {
+  return std::min(kDataPayload, stream_bytes - seq * kDataPayload);
+}
+
 }  // namespace
 
 NodeAgent::NodeAgent(std::uint16_t device_id, FlashModel& flash,
-                     sim::FaultInjector* faults, mcu::Msp432* mcu,
-                     Seconds watchdog_timeout)
-    : device_id_(device_id),
-      flash_(&flash),
-      faults_(faults),
-      mcu_(mcu),
-      watchdog_timeout_(watchdog_timeout) {
+                     sim::FaultInjector* faults, mcu::Msp432* mcu)
+    : device_id_(device_id), flash_(&flash), faults_(faults), mcu_(mcu) {
   install_flash_hooks();
 }
 
@@ -137,11 +138,6 @@ void NodeAgent::install_flash_hooks() {
   flash_->set_sector_erase_hook([this](std::size_t address) {
     return faults_->sector_erase_fault(address);
   });
-}
-
-std::size_t NodeAgent::chunk_bytes(std::size_t seq) const {
-  std::size_t offset = seq * kDataPayload;
-  return std::min(kDataPayload, stream_bytes_ - offset);
 }
 
 bool NodeAgent::has_chunk(std::size_t seq) const {
@@ -162,56 +158,41 @@ bool NodeAgent::begin_session(std::uint32_t session_id,
       stream_bytes_ == stream_bytes)
     return true;  // already running this session (AP re-associated)
 
+  session_id_ = session_id;
+  stream_bytes_ = stream_bytes;
+  total_chunks_ = (stream_bytes + kDataPayload - 1) / kDataPayload;
+  received_ = 0;
+  bytes_received_ = 0;
+  session_active_ = true;
+
   // A matching checkpoint in flash means we crashed mid-transfer: resume.
-  std::size_t chunks = (stream_bytes + kDataPayload - 1) / kDataPayload;
-  auto record = flash_->read(kSessionSector,
-                             kSessionHeader + (chunks + 7) / 8 + 4);
+  const std::size_t body = kSessionHeader + (total_chunks_ + 7) / 8;
+  auto record = flash_->read(kSessionSector, body + 4);
   if (read_u32(record, 0) == kSessionMagic &&
       read_u32(record, 4) == session_id &&
       read_u32(record, 8) == static_cast<std::uint32_t>(stream_bytes)) {
-    std::size_t body = kSessionHeader + (chunks + 7) / 8;
     std::uint32_t crc = read_u32(record, body);
     if (crc32_ieee(std::span(record).first(body)) == crc) {
-      session_id_ = session_id;
-      stream_bytes_ = stream_bytes;
-      total_chunks_ = chunks;
       bitmap_.assign(record.begin() + kSessionHeader,
                      record.begin() + static_cast<std::ptrdiff_t>(body));
-      received_ = 0;
-      bytes_received_ = 0;
       for (std::size_t seq = 0; seq < total_chunks_; ++seq) {
-        if ((bitmap_[seq / 8] >> (seq % 8)) & 1u) {
+        if (has_chunk(seq)) {
           ++received_;
-          bytes_received_ += chunk_bytes(seq);
+          bytes_received_ += chunk_size(stream_bytes_, seq);
         }
       }
-      session_active_ = true;
       ++resumes_;
-      if (auto* t = obs::tracer()) {
-        t->instant("ota", "session-resume",
-                   {obs::TraceArg::num("chunks_held",
-                                       static_cast<double>(received_))});
-      }
-      if (auto* f = obs::flight()) {
-        f->record(obs::FlightLevel::kInfo, "ota", "session-resume",
-                  {obs::TraceArg::num("chunks_held",
-                                      static_cast<double>(received_))});
-      }
-      if (auto* m = obs::metrics()) m->counter("ota.session_resumes").add();
-      if (mcu_) mcu_->arm_watchdog(watchdog_timeout_);
+      obs::node_event(obs::FlightLevel::kInfo, "ota", "session-resume",
+                      "ota.session_resumes", "chunks_held",
+                      static_cast<double>(received_));
+      if (mcu_) mcu_->arm_watchdog(kWatchdogTimeout);
       return true;
     }
   }
 
   // Fresh session: erase the staging region (verify-and-retry, since an
   // injected erase fault leaves stuck bits a re-program cannot clear).
-  session_id_ = session_id;
-  stream_bytes_ = stream_bytes;
-  total_chunks_ = chunks;
-  bitmap_.assign((chunks + 7) / 8, 0);
-  received_ = 0;
-  bytes_received_ = 0;
-  session_active_ = true;
+  bitmap_.assign((total_chunks_ + 7) / 8, 0);
   if (stream_bytes > 0) {
     for (int attempt = 0; attempt < 3; ++attempt) {
       if (flash_->erase_range(kStagingBase, stream_bytes) &&
@@ -219,7 +200,7 @@ bool NodeAgent::begin_session(std::uint32_t session_id,
         break;
     }
   }
-  if (mcu_) mcu_->arm_watchdog(watchdog_timeout_);
+  if (mcu_) mcu_->arm_watchdog(kWatchdogTimeout);
   persist_session();
   return false;
 }
@@ -231,7 +212,8 @@ NodeAgent::RxStatus NodeAgent::receive_chunk(
   // The per-packet CRC16 catches in-flight corruption; the packet is
   // simply dropped and shows up as a gap in the bitmap.
   if (corrupted) return RxStatus::kCorrupt;
-  if (seq >= total_chunks_ || payload.size() != chunk_bytes(seq))
+  if (seq >= total_chunks_ ||
+      payload.size() != chunk_size(stream_bytes_, seq))
     return RxStatus::kCorrupt;
   if (has_chunk(seq)) return RxStatus::kDuplicate;
 
@@ -242,15 +224,8 @@ NodeAgent::RxStatus NodeAgent::receive_chunk(
   flash_->program(address, payload);
   if (!std::ranges::equal(flash_->view(address, payload.size()), payload)) {
     ++flash_write_errors_;
-    if (auto* t = obs::tracer()) {
-      t->instant("ota", "flash-write-error",
-                 {obs::TraceArg::num("seq", static_cast<double>(seq))});
-    }
-    if (auto* f = obs::flight()) {
-      f->record(obs::FlightLevel::kWarn, "ota", "flash-write-error",
-                {obs::TraceArg::num("seq", static_cast<double>(seq))});
-    }
-    if (auto* m = obs::metrics()) m->counter("ota.flash_write_errors").add();
+    obs::node_event(obs::FlightLevel::kWarn, "ota", "flash-write-error",
+                    "ota.flash_write_errors", "seq", static_cast<double>(seq));
     return RxStatus::kFlashError;
   }
   mark_chunk(seq);
@@ -302,32 +277,25 @@ void NodeAgent::persist_session() {
 
 void NodeAgent::clear_session() {
   flash_->erase_sector(kSessionSector);
+  drop_session();
+  if (mcu_) mcu_->disarm_watchdog();
+}
+
+void NodeAgent::drop_session() {
   session_active_ = false;
   bitmap_.clear();
   received_ = 0;
   bytes_received_ = 0;
-  if (mcu_) mcu_->disarm_watchdog();
 }
 
 void NodeAgent::reboot() {
   // Brownout: every RAM structure is gone; flash (staged chunks + the
   // session checkpoint) survives.
-  if (auto* t = obs::tracer()) {
-    t->instant("power", "brownout-reboot",
-               {obs::TraceArg::num("bytes_received",
-                                   static_cast<double>(bytes_received_))});
-  }
-  if (auto* f = obs::flight()) {
-    f->record(obs::FlightLevel::kWarn, "power", "brownout-reboot",
-              {obs::TraceArg::num("bytes_received",
-                                  static_cast<double>(bytes_received_))});
-  }
-  if (auto* m = obs::metrics()) m->counter("power.node_reboots").add();
+  obs::node_event(obs::FlightLevel::kWarn, "power", "brownout-reboot",
+                  "power.node_reboots", "bytes_received",
+                  static_cast<double>(bytes_received_));
+  drop_session();
   online_ = false;
-  session_active_ = false;
-  bitmap_.clear();
-  received_ = 0;
-  bytes_received_ = 0;
   ++reboots_;
   if (mcu_) mcu_->reset(mcu::ResetCause::kBrownout);
 }
@@ -357,15 +325,10 @@ void NodeAgent::advance_time(Seconds elapsed) {
   if (mcu_->advance_time(elapsed)) {
     // Watchdog fired: same RAM loss as a brownout, but the MCU reset has
     // already happened inside advance_time.
-    if (auto* t = obs::tracer()) t->instant("power", "watchdog-reset");
-    if (auto* f = obs::flight())
-      f->record(obs::FlightLevel::kWarn, "power", "watchdog-reset");
-    if (auto* m = obs::metrics()) m->counter("power.watchdog_resets").add();
+    obs::node_event(obs::FlightLevel::kWarn, "power", "watchdog-reset",
+                    "power.watchdog_resets");
+    drop_session();
     online_ = false;
-    session_active_ = false;
-    bitmap_.clear();
-    received_ = 0;
-    bytes_received_ = 0;
     ++reboots_;
   }
 }
@@ -378,6 +341,12 @@ bool NodeAgent::verify_stream(std::uint32_t crc32) const {
 // -------------------------------------------------------- transfer engine
 
 namespace {
+
+/// Base retransmission timeout; backoff doubles it per consecutive
+/// failure (at most 10 doublings), capped at kMaxBackoff.
+constexpr Seconds kAckTimeout = Seconds::from_milliseconds(20.0);
+constexpr double kBackoffFactor = 2.0;
+constexpr Seconds kMaxBackoff{2.0};
 
 /// Shared state of one simulated transfer: accounting, backoff, and the
 /// control-plane helpers used by both ACK modes.
@@ -408,8 +377,7 @@ class TransferEngine {
   void run() {
     // Each transfer owns the tracer's engine-relative clock; campaigns
     // lay consecutive transfers end to end with shift_base between runs.
-    if (auto* t = obs::tracer()) t->set_time(outcome_.total_time);
-    if (auto* f = obs::flight()) f->set_time(outcome_.total_time);
+    obs::set_time(outcome_.total_time);
     obs::TraceSpan span{"ota", "transfer"};
     span.arg("bytes", static_cast<double>(stream_.size()));
     span.arg("chunks", static_cast<double>(chunks_));
@@ -478,11 +446,9 @@ class TransferEngine {
     outcome_.airtime += t;
     outcome_.total_time += t;
     outcome_.node_energy += rx_draw_ * t;
-    if (auto* tr = obs::tracer()) {
-      tr->set_time(outcome_.total_time);
+    obs::set_time(outcome_.total_time);
+    if (auto* tr = obs::tracer())
       tr->counter("power", "node_energy_mj", outcome_.node_energy.value());
-    }
-    if (auto* fr = obs::flight()) fr->set_time(outcome_.total_time);
     node_.advance_time(t);
   }
 
@@ -491,19 +457,17 @@ class TransferEngine {
   void wait(Seconds t) {
     if (faults_) t = faults_->jitter(t);
     outcome_.total_time += t;
-    if (auto* tr = obs::tracer()) tr->set_time(outcome_.total_time);
-    if (auto* fr = obs::flight()) fr->set_time(outcome_.total_time);
+    obs::set_time(outcome_.total_time);
     node_.advance_time(t);
     node_.poll_boot();
   }
 
   void backoff(std::size_t consecutive_failures) {
-    double factor = std::pow(policy_.backoff_factor,
+    double factor = std::pow(kBackoffFactor,
                              static_cast<double>(
                                  std::min<std::size_t>(consecutive_failures,
                                                        10)));
-    Seconds t{std::min(policy_.ack_timeout.value() * factor,
-                       policy_.max_backoff.value())};
+    Seconds t{std::min(kAckTimeout.value() * factor, kMaxBackoff.value())};
     ++outcome_.backoff_events;
     Seconds start{0.0};
     auto* tr = obs::tracer();
@@ -537,21 +501,19 @@ class TransferEngine {
     if (delivered && attacker_ != nullptr &&
         attacker_->jam_packet(type, wire_bytes)) {
       ++outcome_.jammed_packets;
-      note_attack("jammed_packet");
+      note_attack("adversary.ota.jammed_packet");
       return false;
     }
     return delivered;
   }
 
-  /// Record a detected attack event; opens the time-to-recovery window if
-  /// one is not already running.
-  void note_attack(const char* kind) {
+  /// Record a detected attack event, named after the last component of
+  /// its counter (`adversary.ota.<kind>`); opens the time-to-recovery
+  /// window if one is not already running.
+  void note_attack(const char* counter) {
     if (!attack_since_) attack_since_ = outcome_.total_time;
-    if (auto* m = obs::metrics())
-      m->counter(std::string("adversary.ota.") + kind).add();
-    if (auto* t = obs::tracer()) t->instant("adversary", kind);
-    if (auto* f = obs::flight())
-      f->record(obs::FlightLevel::kWarn, "adversary", kind);
+    obs::node_event(obs::FlightLevel::kWarn, "adversary",
+                    std::strrchr(counter, '.') + 1, counter);
   }
 
   /// Forward progress after an attack: close the recovery window and
@@ -632,17 +594,13 @@ class TransferEngine {
   /// attempt a re-association (the node may have rebooted and be waiting
   /// in its resumed session). Returns false when out of budget for good.
   bool try_reassociate() {
-    if (reassociations_used_ >= policy_.max_reassociations) return false;
+    if (reassociations_used_ >= kMaxReassociations) return false;
     ++reassociations_used_;
     ++outcome_.reassociations;
     return associate(/*initial=*/false);
   }
 
   // ----------------------------------------------------------- data plane
-
-  [[nodiscard]] std::size_t chunk_len(std::size_t seq) const {
-    return std::min(kDataPayload, stream_.size() - seq * kDataPayload);
-  }
 
   /// Flow id binding every TX/retransmission/ACK leg of one chunk's
   /// journey. Derived from the link seed (golden-ratio product) xor the
@@ -659,10 +617,9 @@ class TransferEngine {
   bool send_chunk(std::size_t seq) {
     OtaPacket data{OtaPacketType::kData, device_id_,
                    static_cast<std::uint16_t>(seq), 0, {}};
-    data.payload.assign(
-        stream_.begin() + static_cast<std::ptrdiff_t>(seq * kDataPayload),
-        stream_.begin() +
-            static_cast<std::ptrdiff_t>(seq * kDataPayload + chunk_len(seq)));
+    const auto chunk = std::span(stream_).subspan(
+        seq * kDataPayload, chunk_size(stream_.size(), seq));
+    data.payload.assign(chunk.begin(), chunk.end());
     Seconds air = link_.airtime(data.wire_size());
     Seconds start{0.0};
     auto* tr = obs::tracer();
@@ -700,7 +657,7 @@ class TransferEngine {
       if (node_.receive_chunk(static_cast<std::uint16_t>(seq), clipped,
                               false) == NodeAgent::RxStatus::kCorrupt) {
         ++outcome_.truncated_dropped;
-        note_attack("truncated_dropped");
+        note_attack("adversary.ota.truncated_dropped");
       }
       return false;
     }
@@ -733,7 +690,7 @@ class TransferEngine {
       if (node_.receive_chunk(static_cast<std::uint16_t>(seq), data.payload,
                               false) == NodeAgent::RxStatus::kDuplicate) {
         ++outcome_.replays_dropped;
-        note_attack("replay_dropped");
+        note_attack("adversary.ota.replay_dropped");
       }
     }
     return true;
@@ -768,7 +725,7 @@ class TransferEngine {
     bool arrived = deliver_packet(OtaPacketType::kSack, sack.wire_size());
     if (forged) {
       ++outcome_.forged_acks_discarded;
-      note_attack("forged_ack_discarded");
+      note_attack("adversary.ota.forged_ack_discarded");
       return std::nullopt;
     }
     if (!arrived) return std::nullopt;
@@ -858,7 +815,7 @@ class TransferEngine {
         bool stored = send_chunk(seq);
         if (!stored) {
           // No ACK comes back; AP retransmits after a timeout.
-          wait(policy_.ack_timeout);
+          wait(kAckTimeout);
           ++outcome_.backoff_events;
           continue;
         }
@@ -867,7 +824,7 @@ class TransferEngine {
         // retransmit (the node dedups the copy).
         if (faults_ && faults_->reorder_packet()) {
           account_air(t_ack);
-          wait(policy_.ack_timeout);
+          wait(kAckTimeout);
           continue;
         }
         bool forged = attacker_ != nullptr &&
@@ -878,12 +835,12 @@ class TransferEngine {
           // Forged ACK beats the node's; authentication discards it and
           // the AP retransmits (the node dedups the copy).
           ++outcome_.forged_acks_discarded;
-          note_attack("forged_ack_discarded");
-          wait(policy_.ack_timeout);
+          note_attack("adversary.ota.forged_ack_discarded");
+          wait(kAckTimeout);
           continue;
         }
         if (!acked) {
-          wait(policy_.ack_timeout);
+          wait(kAckTimeout);
           continue;  // duplicate data next attempt; node dedups by seq
         }
         got_[seq] = true;
@@ -939,7 +896,7 @@ class TransferEngine {
             deliver_packet(OtaPacketType::kEndAck, end_ack.wire_size());
         if (forged) {
           ++outcome_.forged_acks_discarded;
-          note_attack("forged_ack_discarded");
+          note_attack("adversary.ota.forged_ack_discarded");
         } else if (arrived) {
           if (verified) note_progress();
           return verified ? EndResult::kOk : EndResult::kVerifyFailed;

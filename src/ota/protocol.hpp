@@ -109,23 +109,22 @@ enum class AckMode : std::uint8_t {
   kSelectiveAck,  ///< windowed transfer with a received-chunk bitmap
 };
 
-/// Knobs of the transfer engine.
+/// Knobs of the transfer engine. The retransmission timeout (20 ms,
+/// doubling per consecutive failure up to 2 s) and kMaxReassociations
+/// are fixed.
 struct TransferPolicy {
   AckMode mode = AckMode::kSelectiveAck;
   /// DATA packets streamed between bitmap polls (selective-ACK mode).
   std::size_t window = 16;
   /// Consecutive-failure budget per phase (association, data, end).
   std::size_t max_retries = 25;
-  /// Base retransmission timeout; grows exponentially under failures.
-  Seconds ack_timeout = Seconds::from_milliseconds(20.0);
-  double backoff_factor = 2.0;
-  Seconds max_backoff = Seconds{2.0};
   /// Whole-transfer wall-clock budget; 0 disables the deadline.
   Seconds deadline{0.0};
-  /// Re-association attempts after the data phase stalls (e.g. node
-  /// rebooted and lost its session).
-  std::size_t max_reassociations = 2;
 };
+
+/// Re-association attempts after the data phase stalls (e.g. the node
+/// rebooted and lost its session).
+inline constexpr std::size_t kMaxReassociations = 2;
 
 /// Protocol-level adversary hooks, queried by the transfer engine once per
 /// matching protocol event. The default implementation attacks nothing;
@@ -220,10 +219,12 @@ class NodeAgent {
   static constexpr std::size_t kSessionSector =
       FlashModel::kCapacity - FlashModel::kSectorSize;
 
+  /// The MCU watchdog period a session arms.
+  static constexpr Seconds kWatchdogTimeout{30.0};
+
   NodeAgent(std::uint16_t device_id, FlashModel& flash,
             sim::FaultInjector* faults = nullptr,
-            mcu::Msp432* mcu = nullptr,
-            Seconds watchdog_timeout = Seconds{30.0});
+            mcu::Msp432* mcu = nullptr);
 
   /// Handle a programming request. Starts a fresh session (erasing the
   /// staging region) or resumes a matching persisted one. Returns true if
@@ -285,13 +286,13 @@ class NodeAgent {
  private:
   void install_flash_hooks();
   void mark_chunk(std::size_t seq);
-  [[nodiscard]] std::size_t chunk_bytes(std::size_t seq) const;
+  /// Forget the session held in RAM (the flash checkpoint stays).
+  void drop_session();
 
   std::uint16_t device_id_;
   FlashModel* flash_;
   sim::FaultInjector* faults_;
   mcu::Msp432* mcu_;
-  Seconds watchdog_timeout_;
 
   bool online_ = true;
   bool session_active_ = false;
@@ -310,9 +311,6 @@ class NodeAgent {
 /// The AP side: drives one node through a full firmware transfer.
 class AccessPoint {
  public:
-  explicit AccessPoint(lora::LoraParams params = ota_link_params())
-      : params_(params) {}
-
   /// Transfer `compressed_image` to device `device_id` over `link`.
   /// When `node` is null an internal ideal node (no flash, no faults) is
   /// simulated; pass a NodeAgent to exercise flash writes, brownout
@@ -324,11 +322,6 @@ class AccessPoint {
       const TransferPolicy& policy = {}, NodeAgent* node = nullptr,
       sim::FaultInjector* faults = nullptr,
       LinkAttacker* attacker = nullptr) const;
-
-  [[nodiscard]] const lora::LoraParams& params() const { return params_; }
-
- private:
-  lora::LoraParams params_;
 };
 
 }  // namespace tinysdr::ota

@@ -45,32 +45,26 @@ UpdateReport UpdatePlanner::run(const AirImage& air, UpdateTarget target,
   // Radio phase. The node agent streams chunks straight into the flash
   // staging region and checkpoints its session, so a brownout mid-transfer
   // resumes rather than restarting.
-  AccessPoint ap;
   NodeAgent node(device_id, flash, options.faults, &mcu);
   report.transfer =
-      ap.transfer(stream, device_id, link, options.policy, &node,
-                  options.faults, options.attacker);
-  report.failure = report.transfer.failure;
-  if (!report.transfer.success) {
-    report.total_time = report.transfer.total_time;
-    report.total_energy = report.transfer.node_energy;
-    return report;
-  }
-
-  // The stream is already in flash (written chunk-by-chunk as it arrived);
-  // keep the aggregate program time in the ledger.
-  report.flash_time += FlashModel::program_time(stream.size());
-
-  auto fail_with_rollback = [&](UpdateFailure cause) {
+      AccessPoint{}.transfer(stream, device_id, link, options.policy, &node,
+                             options.faults, options.attacker);
+  // An update that stops short ends with the radio phase: its time and
+  // energy are the transfer's. A failed image write or decode falls back
+  // to the golden image.
+  auto stop = [&](UpdateFailure cause, bool rollback) {
     report.failure = cause;
-    if (options.store != nullptr &&
-        options.store->rollback_to_golden()) {
-      report.rolled_back = true;
-    }
+    report.rolled_back = rollback && options.store != nullptr &&
+                         options.store->rollback_to_golden();
     report.total_time = report.transfer.total_time;
     report.total_energy = report.transfer.node_energy;
     return report;
   };
+  if (!report.transfer.success) return stop(report.transfer.failure, false);
+
+  // The stream is already in flash (written chunk-by-chunk as it arrived);
+  // keep the aggregate program time in the ledger.
+  report.flash_time += FlashModel::program_time(stream.size());
 
   // Decompression: radio off; 30 kB SRAM block buffer on the MCU.
   mcu.allocate_sram("ota_block", static_cast<std::uint32_t>(kOtaBlockSize));
@@ -78,9 +72,8 @@ UpdateReport UpdatePlanner::run(const AirImage& air, UpdateTarget target,
   const std::vector<std::uint8_t>* decompressed = staged_image(
       air, flash.view(NodeAgent::kStagingBase, stream.size()), decoded);
   mcu.free_sram("ota_block");
-  if (!decompressed || decompressed->size() != air.original_bytes) {
-    return fail_with_rollback(UpdateFailure::kDecodeFailed);
-  }
+  if (!decompressed || decompressed->size() != air.original_bytes)
+    return stop(UpdateFailure::kDecodeFailed, true);
   report.decompress_time =
       Seconds{static_cast<double>(air.original_bytes) /
               kDecompressBytesPerSecond};
@@ -94,20 +87,15 @@ UpdateReport UpdatePlanner::run(const AirImage& air, UpdateTarget target,
     if (!written)
       written = options.store->write_slot(slot, *decompressed,
                                           options.image_version);
-    if (!written ||
-        options.store->slot_fingerprint(slot) != air.image_crc32) {
-      return fail_with_rollback(UpdateFailure::kImageVerify);
-    }
+    if (!written || options.store->slot_fingerprint(slot) != air.image_crc32)
+      return stop(UpdateFailure::kImageVerify, true);
     if (!options.store->activate(slot)) {
       // The image verified but carries an older version than the node has
       // already run: the anti-rollback ratchet refuses it. No golden
       // rollback — the node survives on its current boot image.
-      report.failure = UpdateFailure::kRejectedRollback;
       if (auto* m = obs::metrics())
         m->counter("adversary.ota.rollback_rejected").add();
-      report.total_time = report.transfer.total_time;
-      report.total_energy = report.transfer.node_energy;
-      return report;
+      return stop(UpdateFailure::kRejectedRollback, false);
     }
     report.slot = slot;
     auto sectors = (decompressed->size() + FlashModel::kSectorSize - 1) /

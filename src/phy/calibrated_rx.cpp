@@ -26,8 +26,8 @@ FrameResult CalibratedRx::demodulate(
   // thread-safe, so all correction happens on stack-owned storage.
   std::vector<dsp::Complex> work(iq.begin(), iq.end());
 
-  if (calibration_.dc_notch) impair::remove_dc(work);
-  if (calibration_.iq_correct) impair::correct_iq_imbalance(work);
+  impair::remove_dc(work);
+  impair::correct_iq_imbalance(work);
 
   obs::Registry* registry = obs::metrics();
   if (calibration_.cfo_correct) {

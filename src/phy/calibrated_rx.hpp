@@ -2,7 +2,7 @@
 // preamble/autocorrelation CFO correction in front of any PhyRx.
 //
 // CalibratedRx is a PhyRx decorator — it copies the capture, runs the
-// enabled correction stages (DC -> IQ -> CFO, the order the front-end
+// correction stages (DC -> IQ -> CFO when enabled, the order the front-end
 // defects stack in), then hands the cleaned capture to the wrapped
 // receiver. Because it *is* a PhyRx, every trial engine (LinkSimulator
 // sweeps, StreamingLink, campaigns) gains calibration by swapping the
@@ -26,10 +26,9 @@
 
 namespace tinysdr::phy {
 
-/// Which correction stages run, plus the CFO estimator's per-PHY knobs.
+/// Whether the CFO stage runs, plus the CFO estimator's per-PHY knobs. The
+/// DC notch and the IQ correction always run.
 struct RxCalibration {
-  bool dc_notch = true;
-  bool iq_correct = true;
   bool cfo_correct = true;
   /// Autocorrelation lag in samples (see dsp::CfoEstimatorConfig).
   std::size_t cfo_lag = 1;

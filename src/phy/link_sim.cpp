@@ -88,8 +88,9 @@ FrameResult LinkSimulator::receive(std::span<dsp::Complex> capture,
 }
 
 channel::AwgnChannel LinkSimulator::channel(std::uint64_t trial_seed) const {
-  return {plan_.channel_rate.value_or(rx_->sample_rate()),
-          plan_.noise_figure_db, Rng{trial_seed, kChannelStream}};
+  // The noise bandwidth is the RX sample rate.
+  return {rx_->sample_rate(), plan_.noise_figure_db,
+          Rng{trial_seed, kChannelStream}};
 }
 
 void LinkSimulator::count_impaired(std::uint64_t samples) const {

@@ -79,8 +79,6 @@ struct TrialPlan {
   /// Receiver noise figure; defaults to the generic front end — benches
   /// pass the per-PHY calibrated value from the phy:: config defaults.
   double noise_figure_db = channel::kDefaultNoiseFigureDb;
-  /// Noise bandwidth; unset means the RX sample rate.
-  std::optional<Hertz> channel_rate;
   /// Root of the sweep's seed derivation.
   std::uint64_t base_seed = 1;
 };

@@ -1,7 +1,8 @@
 // RF front-end models: the SE2435L (sub-GHz) and SKY66112 (2.4 GHz)
-// PA/LNA chips with their bypass switches, plus the ADG904 SP4T RF switch
-// that shares the 900 MHz antenna between the I/Q radio and the OTA
-// backbone radio (paper §3.1.1, §3.2.3).
+// PA/LNA chips with their bypass switches (paper §3.1.1, §3.2.3). The
+// ADG904 RF switch that shares the 900 MHz antenna between the I/Q radio
+// and the OTA backbone radio appears only in the cost table
+// (core/platform_db.cpp): no simulated path depends on its position.
 #pragma once
 
 #include <stdexcept>
@@ -43,22 +44,6 @@ class Frontend {
  private:
   FrontendSpec spec_;
   FrontendMode mode_ = FrontendMode::kSleep;
-};
-
-/// ADG904 SP4T switch: selects between the I/Q radio's 900 MHz port and the
-/// backbone radio's separate TX and RX paths.
-enum class RfPath { kIqRadio900, kBackboneTx, kBackboneRx, kUnused };
-
-class RfSwitch {
- public:
-  [[nodiscard]] RfPath selected() const { return selected_; }
-  void select(RfPath path) { selected_ = path; }
-
-  /// Insertion loss of the switch (datasheet ~0.8 dB at 1 GHz).
-  [[nodiscard]] static double insertion_loss_db() { return 0.8; }
-
- private:
-  RfPath selected_ = RfPath::kIqRadio900;
 };
 
 }  // namespace tinysdr::radio

@@ -21,16 +21,17 @@ namespace {
 // Open client connections served at once; more wait to be accepted.
 constexpr std::size_t kMaxConnections = 64;
 
-bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+/// Send what the socket takes now of `out` without blocking and drop it
+/// from the front. False when the connection failed.
+bool flush(int fd, std::string& out) {
+  while (!out.empty()) {
+    const ssize_t n =
+        ::send(fd, out.data(), out.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
     }
-    sent += static_cast<std::size_t>(n);
+    out.erase(0, static_cast<std::size_t>(n));
   }
   return true;
 }
@@ -116,33 +117,31 @@ void Server::runner_loop() {
   }
 }
 
-bool Server::read_requests(int fd, std::string& buffer) {
+bool Server::read_requests(int fd, Connection& conn) {
   char chunk[4096];
   const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
   if (n < 0) return errno == EINTR;
   if (n == 0) return false;  // client hung up
-  buffer.append(chunk, static_cast<std::size_t>(n));
+  conn.in.append(chunk, static_cast<std::size_t>(n));
 
   for (;;) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = conn.in.find('\n');
     const std::size_t line_bytes =
-        newline == std::string::npos ? buffer.size() : newline;
+        newline == std::string::npos ? conn.in.size() : newline;
     if (line_bytes > kMaxRequestLine) {
-      (void)send_all(fd, "{\"ok\":false,\"error\":\"request line exceeds " +
-                             std::to_string(kMaxRequestLine) + " bytes\"}\n");
+      conn.out += "{\"ok\":false,\"error\":\"request line exceeds " +
+                  std::to_string(kMaxRequestLine) + " bytes\"}\n";
       return false;
     }
     if (newline == std::string::npos) return true;
-    const std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
+    const std::string line = conn.in.substr(0, newline);
+    conn.in.erase(0, newline + 1);
     if (line.empty()) continue;
     Response response = handle_line(*engine_, line);
-    std::string out;
     for (const std::string& l : response.lines) {
-      out += l;
-      out += "\n";
+      conn.out += l;
+      conn.out += "\n";
     }
-    if (!send_all(fd, out)) return false;
     if (response.shutdown) {
       stop();
       return false;
@@ -151,33 +150,52 @@ bool Server::read_requests(int fd, std::string& buffer) {
 }
 
 void Server::serve_forever() {
-  // polls[0] is the listener; polls[i] and buffers[i] are connection i's.
+  // polls[0] is the listener; polls[i] and conns[i] are connection i's.
   std::vector<pollfd> polls{{listen_fd_, POLLIN, 0}};
-  std::vector<std::string> buffers(1);
+  std::vector<Connection> conns(1);
   while (!stop_.load()) {
-    // At the cap, new clients wait in the listen backlog. The timeout
-    // lets the loop see stop().
+    // At the cap, new clients wait in the listen backlog. A connection
+    // with more than a request line's worth of unsent replies is not read
+    // until its client takes some. The timeout lets the loop see stop().
     polls[0].events = polls.size() > kMaxConnections ? 0 : POLLIN;
+    for (std::size_t i = 1; i < polls.size(); ++i) {
+      const std::string& out = conns[i].out;
+      polls[i].events = static_cast<short>(
+          (conns[i].closing || out.size() > kMaxRequestLine ? 0 : POLLIN) |
+          (out.empty() ? 0 : POLLOUT));
+    }
     if (::poll(polls.data(), polls.size(), 100) < 0) {
       if (errno == EINTR) continue;
       break;
     }
     for (std::size_t i = polls.size() - 1; i > 0; --i) {
       if (polls[i].revents == 0) continue;
-      if (!stop_.load() && read_requests(polls[i].fd, buffers[i])) continue;
-      ::close(polls[i].fd);
+      Connection& conn = conns[i];
+      const int fd = polls[i].fd;
+      const bool readable = (polls[i].events & POLLIN) != 0 &&
+                            (polls[i].revents & (POLLIN | POLLHUP)) != 0;
+      if (readable && !stop_.load() && !read_requests(fd, conn))
+        conn.closing = true;
+      // A closing connection stays until its replies are sent.
+      if (flush(fd, conn.out) && !(conn.closing && conn.out.empty()) &&
+          (polls[i].revents & (POLLERR | POLLNVAL)) == 0)
+        continue;
+      ::close(fd);
       polls.erase(polls.begin() + static_cast<std::ptrdiff_t>(i));
-      buffers.erase(buffers.begin() + static_cast<std::ptrdiff_t>(i));
+      conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
     }
     const int fd = polls[0].revents & POLLIN
                        ? ::accept(listen_fd_, nullptr, nullptr)
                        : -1;
     if (fd >= 0) {
       polls.push_back({fd, POLLIN, 0});
-      buffers.emplace_back();
+      conns.emplace_back();
     }
   }
-  for (std::size_t i = 1; i < polls.size(); ++i) ::close(polls[i].fd);
+  for (std::size_t i = 1; i < polls.size(); ++i) {
+    (void)flush(polls[i].fd, conns[i].out);  // e.g. the shutdown reply
+    ::close(polls[i].fd);
+  }
 }
 
 void Server::stop() {

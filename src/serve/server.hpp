@@ -3,9 +3,12 @@
 // thread that drains the engine's job queue.
 //
 // One thread polls the listener and every open connection (up to a fixed
-// cap), each with its own line buffer, so an idle or polling client never
-// holds up another; jobs run on the runner thread. Tests run
-// serve_forever() on a std::thread, speak the protocol over a
+// cap), each with its own request buffer and reply buffer, so a client
+// that is idle, polls, or does not read its replies never holds up
+// another; jobs run on the runner thread. Replies are sent as the socket
+// takes them, and a connection whose unsent replies pass kMaxRequestLine
+// is not read until its client catches up, so its memory stays bounded.
+// Tests run serve_forever() on a std::thread, speak the protocol over a
 // socketpair-style client, then stop() — no separate process needed.
 #pragma once
 
@@ -49,10 +52,18 @@ class Server {
   [[nodiscard]] int tcp_port() const { return resolved_port_; }
 
  private:
+  /// One client's unparsed request bytes and unsent reply bytes.
+  struct Connection {
+    std::string in;
+    std::string out;
+    bool closing = false;  ///< closes once `out` is sent
+  };
+
   void runner_loop();
-  /// One recv into the connection's buffer, then an answer to each
-  /// complete line. False when the connection is to be closed.
-  bool read_requests(int fd, std::string& buffer);
+  /// One recv into the connection's request buffer, then an answer to each
+  /// complete line appended to its reply buffer. False when the connection
+  /// is to close once its replies are sent.
+  bool read_requests(int fd, Connection& conn);
 
   Engine* engine_;
   ServerConfig config_;

@@ -54,7 +54,7 @@ std::uint64_t node_link_seed(std::uint64_t pass_base,
 
 namespace {
 
-/// Run `run_node(node, index)` for every node of the deployment on the
+/// Run `run_node(node)` for every node of the deployment on the
 /// exec worker pool, each with its own telemetry shards (the node traces
 /// on its own track), then fold the shards in node-index order, laying
 /// each node's timeline end to end after the previous one: byte-identical
@@ -72,13 +72,8 @@ std::vector<ota::UpdateReport> run_fleet(const Deployment& deployment,
   status = exec::parallel_for(
       nodes.size(), policy, [&](std::size_t i) {
         auto scope = shards.enter(i);
-        const std::uint16_t id = nodes[i].id;
-        if (auto* t = obs::tracer()) {
-          t->set_track(id);
-          t->name_track(id, "node-" + std::to_string(id));
-        }
-        if (auto* f = obs::flight()) f->set_node(id);
-        reports[i] = run_node(nodes[i], i);
+        obs::set_node(nodes[i].id);
+        reports[i] = run_node(nodes[i]);
       });
 
   std::vector<ota::UpdateReport> ran;
@@ -111,6 +106,45 @@ void maybe_dump_flight(const std::string& what, std::size_t failed_nodes,
   obs::dump_flight(reason);
 }
 
+/// The fault-free pass over the fleet that a plain campaign and a fault
+/// campaign's baseline both run: each node on a fresh flash and MCU, over
+/// its link seeded from `pass_base`.
+std::vector<ota::UpdateReport> plain_pass(const Deployment& deployment,
+                                          const ota::AirImage& air,
+                                          ota::UpdateTarget target,
+                                          std::uint64_t pass_base,
+                                          const exec::ExecPolicy& policy,
+                                          exec::RunStatus& status) {
+  return run_fleet(deployment, policy, status, [&](const Node& node) {
+    ota::OtaLink link{ota::ota_link_params(), node.rssi,
+                      node_link_seed(pass_base, node.id)};
+    ota::FlashModel flash;
+    mcu::Msp432 mcu = mcu::baseline_firmware();
+    return ota::UpdatePlanner{}.run(air, target, node.id, link, flash, mcu);
+  });
+}
+
+/// The testbed.* metrics of one pass. A fault campaign creates both node
+/// counters even at zero (`every_counter`); a plain campaign creates each
+/// only once it counts a node.
+void count_nodes(const std::vector<ota::UpdateReport>& reports,
+                 bool every_counter) {
+  auto* m = obs::metrics();
+  if (m == nullptr) return;
+  if (every_counter) {
+    m->counter("testbed.nodes_attempted");
+    m->counter("testbed.nodes_updated");
+  }
+  for (const auto& r : reports) {
+    m->counter("testbed.nodes_attempted").add();
+    if (!r.success) continue;
+    m->counter("testbed.nodes_updated").add();
+    m->histogram("testbed.node_time_min",
+                 obs::HistogramSpec::linear(0.0, 240.0, 48))
+        .observe(r.total_time.value() / 60.0);
+  }
+}
+
 }  // namespace
 
 CampaignResult run_campaign(const Deployment& deployment,
@@ -121,37 +155,14 @@ CampaignResult run_campaign(const Deployment& deployment,
   result.image_name = image.name;
   if (auto* t = obs::tracer()) t->name_track(0, "campaign");
   obs::TraceSpan campaign_span{"testbed", "campaign:" + image.name};
-  ota::UpdatePlanner planner;
   // The AP compresses once; every node receives the same bytes.
   const ota::AirImage air = ota::UpdatePlanner::prepare(image);
-
   // One sequential draw for the whole campaign; every per-node seed is a
-  // pure function of (base, node id), precomputed before dispatch.
-  const std::uint64_t pass_base = exec::draw_base_seed(rng);
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(deployment.nodes().size());
-  for (const auto& node : deployment.nodes())
-    seeds.push_back(node_link_seed(pass_base, node.id));
-
-  result.per_node = run_fleet(
-      deployment, policy, result.exec_status,
-      [&](const Node& node, std::size_t i) {
-        ota::OtaLink link{ota::ota_link_params(), node.rssi, seeds[i]};
-        ota::FlashModel flash;
-        mcu::Msp432 mcu = mcu::baseline_firmware();
-        return planner.run(air, target, node.id, link, flash, mcu);
-      });
-
-  if (auto* m = obs::metrics()) {
-    for (const auto& report : result.per_node) {
-      m->counter("testbed.nodes_attempted").add();
-      if (!report.success) continue;
-      m->counter("testbed.nodes_updated").add();
-      m->histogram("testbed.node_time_min",
-                   obs::HistogramSpec::linear(0.0, 240.0, 48))
-          .observe(report.total_time.value() / 60.0);
-    }
-  }
+  // pure function of (base, node id).
+  result.per_node = plain_pass(deployment, air, target,
+                               exec::draw_base_seed(rng), policy,
+                               result.exec_status);
+  count_nodes(result.per_node, false);
   maybe_dump_flight("campaign:" + image.name,
                     result.per_node.size() - result.successes(),
                     result.exec_status);
@@ -198,18 +209,7 @@ FaultCampaignEntry summarize(std::string name,
                                      baseline->mean_energy.value()};
   }
   entry.per_node = std::move(reports);
-  if (auto* m = obs::metrics()) {
-    m->counter("testbed.nodes_attempted")
-        .add(static_cast<double>(entry.nodes));
-    m->counter("testbed.nodes_updated")
-        .add(static_cast<double>(entry.successes));
-    for (const auto& r : entry.per_node) {
-      if (!r.success) continue;
-      m->histogram("testbed.node_time_min",
-                   obs::HistogramSpec::linear(0.0, 240.0, 48))
-          .observe(r.total_time.value() / 60.0);
-    }
-  }
+  count_nodes(entry.per_node, true);
   return entry;
 }
 
@@ -220,7 +220,6 @@ FaultCampaignResult run_fault_campaign(
     ota::UpdateTarget target, const std::vector<FaultScenario>& scenarios,
     Rng& rng, const exec::ExecPolicy& policy) {
   FaultCampaignResult result;
-  ota::UpdatePlanner planner;
   // Compressed once, shared by the baseline and every scenario pass.
   const ota::AirImage air = ota::UpdatePlanner::prepare(image);
 
@@ -234,16 +233,9 @@ FaultCampaignResult run_fault_campaign(
   // Fault-free reference pass.
   {
     obs::TraceSpan scenario_span{"testbed", "scenario:baseline"};
-    const std::uint64_t pass_base = exec::stream_seed(campaign_base, 0);
-    auto reports = run_fleet(
-        deployment, policy, result.exec_status,
-        [&](const Node& node, std::size_t) {
-          ota::OtaLink link{ota::ota_link_params(), node.rssi,
-                            node_link_seed(pass_base, node.id)};
-          ota::FlashModel flash;
-          mcu::Msp432 mcu = mcu::baseline_firmware();
-          return planner.run(air, target, node.id, link, flash, mcu);
-        });
+    auto reports = plain_pass(deployment, air, target,
+                              exec::stream_seed(campaign_base, 0), policy,
+                              result.exec_status);
     result.baseline = summarize("baseline", std::move(reports), nullptr);
   }
 
@@ -255,7 +247,7 @@ FaultCampaignResult run_fault_campaign(
         exec::stream_seed(campaign_base, k + 1);
     auto reports = run_fleet(
         deployment, policy, result.exec_status,
-        [&](const Node& node, std::size_t) {
+        [&](const Node& node) {
           std::uint64_t seed = node_link_seed(pass_base, node.id);
           ota::OtaLink link{ota::ota_link_params(), node.rssi, seed};
           if (scenario.plan.burst) link.set_burst(*scenario.plan.burst);
@@ -284,8 +276,8 @@ FaultCampaignResult run_fault_campaign(
           options.store = &store;
           options.attacker = attacker.get();
           options.image_version = scenario.image_version;
-          return planner.run(air, target, node.id, link, flash, mcu,
-                             options);
+          return ota::UpdatePlanner{}.run(air, target, node.id, link, flash,
+                                          mcu, options);
         });
     result.scenarios.push_back(summarize(
         scenario.name, std::move(reports), &result.baseline));

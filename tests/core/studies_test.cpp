@@ -173,8 +173,7 @@ TEST(BroadcastOta, PerfectLinksSinglePass) {
   for (int i = 0; i < 10; ++i)
     links.emplace_back(ota::ota_link_params(), Dbm{-60.0},
                        Rng{static_cast<std::uint64_t>(i)});
-  ota::BroadcastUpdater updater;
-  auto outcome = updater.broadcast(image, links);
+  auto outcome = ota::broadcast(image, links);
   EXPECT_EQ(outcome.nodes_complete, 10u);
   EXPECT_EQ(outcome.repair_rounds, 1u);
   EXPECT_EQ(outcome.packets_broadcast, (image.size() + 59) / 60);
@@ -188,8 +187,7 @@ TEST(BroadcastOta, LossyLinksRepairAndComplete) {
   for (int i = 0; i < 10; ++i)
     links.emplace_back(ota::ota_link_params(), marginal,
                        Rng{static_cast<std::uint64_t>(100 + i)});
-  ota::BroadcastUpdater updater;
-  auto outcome = updater.broadcast(image, links);
+  auto outcome = ota::broadcast(image, links);
   EXPECT_EQ(outcome.nodes_complete, 10u);
   EXPECT_GT(outcome.repair_rounds, 1u);
   EXPECT_GT(outcome.packets_broadcast, (image.size() + 59) / 60);
@@ -205,8 +203,7 @@ TEST(BroadcastOta, BeatsSequentialForManyNodes) {
   for (int i = 0; i < nodes; ++i)
     links.emplace_back(ota::ota_link_params(), rssi,
                        Rng{static_cast<std::uint64_t>(200 + i)});
-  ota::BroadcastUpdater updater;
-  auto broadcast = updater.broadcast(image, links);
+  auto broadcast = ota::broadcast(image, links);
   ASSERT_EQ(broadcast.nodes_complete, static_cast<std::size_t>(nodes));
 
   ota::AccessPoint ap;

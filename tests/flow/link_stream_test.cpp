@@ -103,6 +103,28 @@ TEST(FlowThreadedLinkStream, ThreadedRunIsByteIdenticalToo) {
   EXPECT_EQ(got.point, expected);
 }
 
+TEST(FlowThreadedLinkStream, ScheduleStaysBounded) {
+  // A long stream holds only the frames in flight between the source and
+  // the slicer, however many trials it runs.
+  const auto& entry = phy::Registry::builtin().at(phy::Protocol::kZigbee);
+  auto tx = entry.make_tx();
+  auto rx = entry.make_rx();
+  auto plan = small_plan();
+  plan.trials = 480;
+  const phy::SweepPoint point{Dbm{-97.0}, std::nullopt};
+
+  phy::LinkSimulator classic{*tx, *rx, plan};
+  const auto expected = classic.run_point(point);
+
+  StreamingLink stream{*tx, *rx, StreamPlan{plan, /*gap_samples=*/64, 1 << 10}};
+  for (bool threaded : {false, true}) {
+    const auto got = stream.run(point, threaded);
+    EXPECT_TRUE(got.report.drained()) << threaded;
+    EXPECT_EQ(got.point, expected) << threaded;
+    EXPECT_LE(got.frames_live_peak, 4u) << threaded;
+  }
+}
+
 TEST(FlowThreadedLinkStream, Fig15aConcurrentLoraMatchesRunPoint) {
   // Fig. 15a's oversampled pair: the receiver conditions (FIR + decimate)
   // every frame, and a ring smaller than one frame splits each region

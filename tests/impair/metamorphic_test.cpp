@@ -143,21 +143,5 @@ TEST(CalibratedRxConfig, DefaultCalibrationMatchesRegistry) {
   }
 }
 
-TEST(CalibratedRxConfig, AllStagesOffIsTheInnerReceiver) {
-  const auto& entry = Registry::builtin().at(Protocol::kBle);
-  auto tx = entry.make_tx();
-  auto rx = entry.make_rx();
-  RxCalibration off;
-  off.dc_notch = off.iq_correct = off.cfo_correct = false;
-  CalibratedRx cal{*rx, off};
-
-  TrialPlan plan = plan_for(entry);
-  plan.trials = 5;
-  const SweepPoint point{Dbm{-88.0}, std::nullopt};
-  LinkSimulator a{*tx, *rx, plan};
-  LinkSimulator b{*tx, cal, plan};
-  EXPECT_EQ(a.run_point(point), b.run_point(point));
-}
-
 }  // namespace
 }  // namespace tinysdr::phy

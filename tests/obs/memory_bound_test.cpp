@@ -1,7 +1,8 @@
 // Telemetry memory stays bounded as a run gets longer: a shard registry
 // installed through obs::ItemShards keeps O(1) state per instrument, so
 // 10^5 counter adds and histogram observations allocate (next to)
-// nothing once the instruments exist. Global operator new is replaced
+// nothing once the instruments exist, and a node event with no sink
+// installed allocates nothing at all. Global operator new is replaced
 // with a byte counter, which is why this test is its own executable.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/shards.hpp"
 
@@ -55,6 +57,20 @@ TEST(MetricsMemory, ShardStateDoesNotGrowWithOperations) {
 
   shards.fold_all();
   EXPECT_EQ(campaign.histograms().at("h").count(), 101000u);
+}
+
+TEST(NullSink, NodeEventsAllocateNothing) {
+  ASSERT_EQ(metrics(), nullptr);
+  ASSERT_EQ(tracer(), nullptr);
+  ASSERT_EQ(flight(), nullptr);
+  const std::size_t before = g_allocated.load();
+  for (int k = 0; k < 1000; ++k) {
+    set_node(7);
+    set_time(Seconds{static_cast<double>(k)});
+    node_event(FlightLevel::kWarn, "power", "brownout-reboot",
+               "power.node_reboots", "bytes_received", k);
+  }
+  EXPECT_EQ(g_allocated.load() - before, 0u);
 }
 
 }  // namespace

@@ -10,8 +10,7 @@ TEST(BroadcastEdge, EmptyImageCompletesInstantly) {
   std::vector<std::uint8_t> empty;
   std::vector<OtaLink> links;
   links.emplace_back(ota_link_params(), Dbm{-70.0}, Rng{1});
-  BroadcastUpdater updater;
-  auto outcome = updater.broadcast(empty, links);
+  auto outcome = broadcast(empty, links);
   EXPECT_EQ(outcome.nodes_complete, 1u);
   EXPECT_EQ(outcome.packets_broadcast, 0u);
 }
@@ -20,8 +19,7 @@ TEST(BroadcastEdge, SingleNodeEquivalentToUnicastPacketCount) {
   std::vector<std::uint8_t> image(601, 0x42);  // 11 packets (60 B each)
   std::vector<OtaLink> links;
   links.emplace_back(ota_link_params(), Dbm{-70.0}, Rng{2});
-  BroadcastUpdater updater;
-  auto outcome = updater.broadcast(image, links);
+  auto outcome = broadcast(image, links);
   EXPECT_EQ(outcome.nodes_complete, 1u);
   EXPECT_EQ(outcome.packets_broadcast, 11u);
 }
@@ -30,12 +28,12 @@ TEST(BroadcastEdge, RoundLimitBoundsHopelessLinks) {
   std::vector<std::uint8_t> image(3000, 0x11);
   std::vector<OtaLink> links;
   links.emplace_back(ota_link_params(), Dbm{-140.0}, Rng{3});  // dead link
-  BroadcastUpdater updater;
-  auto outcome = updater.broadcast(image, links, /*max_rounds=*/5);
+  auto outcome = broadcast(image, links);
   EXPECT_EQ(outcome.nodes_complete, 0u);
-  EXPECT_EQ(outcome.repair_rounds, 5u);
+  EXPECT_EQ(outcome.repair_rounds, kBroadcastMaxRounds);
   // Bounded work: at most rounds * packet_count broadcasts.
-  EXPECT_LE(outcome.packets_broadcast, 5u * ((image.size() + 59) / 60));
+  EXPECT_LE(outcome.packets_broadcast,
+            kBroadcastMaxRounds * ((image.size() + 59) / 60));
 }
 
 TEST(BroadcastEdge, MixedFleetOnlyRepairsTheWeak) {
@@ -48,8 +46,7 @@ TEST(BroadcastEdge, MixedFleetOnlyRepairsTheWeak) {
   Dbm marginal =
       lora::sx1276_sensitivity(8, Hertz::from_kilohertz(500.0)) + 2.0;
   links.emplace_back(ota_link_params(), marginal, Rng{5});
-  BroadcastUpdater updater;
-  auto outcome = updater.broadcast(image, links);
+  auto outcome = broadcast(image, links);
   EXPECT_EQ(outcome.nodes_complete, 2u);
   // Repairs happened but far fewer than a full second pass.
   EXPECT_GT(outcome.packets_broadcast, base_packets);

@@ -84,7 +84,6 @@ TEST(OtaEdge, RetryBudgetExhaustionReportsCauseAndCounters) {
   NodeAgent node{3, flash, &faults};
   TransferPolicy policy;
   policy.max_retries = 4;
-  policy.max_reassociations = 1;
   std::vector<std::uint8_t> image(600, 0xEE);
   AccessPoint ap;
   auto outcome = ap.transfer(image, 3, link, policy, &node, &faults);
@@ -93,7 +92,7 @@ TEST(OtaEdge, RetryBudgetExhaustionReportsCauseAndCounters) {
   EXPECT_EQ(outcome.data_packets, 0u);       // nothing ever stored
   EXPECT_GT(outcome.corrupted_dropped, 0u);  // the reason why
   EXPECT_GT(outcome.backoff_events, 0u);
-  EXPECT_EQ(outcome.reassociations, 1u);
+  EXPECT_EQ(outcome.reassociations, kMaxReassociations);
   EXPECT_EQ(outcome.link_seed, 5u);
 }
 

@@ -12,14 +12,5 @@ TEST(FrontendSpecs, PaperLimits) {
   EXPECT_DOUBLE_EQ(sky66112_spec().bypass_current_ua, 280.0);
 }
 
-TEST(RfSwitch, PathSelection) {
-  RfSwitch sw;
-  EXPECT_EQ(sw.selected(), RfPath::kIqRadio900);
-  sw.select(RfPath::kBackboneTx);
-  EXPECT_EQ(sw.selected(), RfPath::kBackboneTx);
-  EXPECT_GT(RfSwitch::insertion_loss_db(), 0.0);
-  EXPECT_LT(RfSwitch::insertion_loss_db(), 2.0);
-}
-
 }  // namespace
 }  // namespace tinysdr::radio

@@ -123,12 +123,14 @@ TEST(Protocol, SubmitStatusResultLifecycle) {
 /// Minimal blocking NDJSON client for the socket test.
 class TestClient {
  public:
-  explicit TestClient(const std::string& path) {
+  explicit TestClient(const std::string& path, timeval timeout = {30, 0}) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    // A daemon that never answers fails the test instead of hanging it.
-    const timeval timeout{30, 0};
-    if (fd_ >= 0)
+    // A daemon that never answers or reads fails the test instead of
+    // hanging it.
+    if (fd_ >= 0) {
       ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
@@ -302,6 +304,47 @@ TEST(Server, IdleClientDoesNotHoldUpAnother) {
     std::string reply;
     ASSERT_TRUE(idle.read_line(reply));
     EXPECT_NE(reply.find("\"pong\":true"), std::string::npos) << reply;
+  }
+
+  server.stop();
+  accept_thread.join();
+  ::unlink(socket_path.c_str());
+}
+
+TEST(Server, UnreadRepliesDoNotStallAnotherClient) {
+  const std::string socket_path = testing::TempDir() + "serve_unread.sock";
+  Engine engine{phy::Registry::builtin(), {}};
+  ServerConfig config;
+  config.unix_socket = socket_path;
+  Server server{engine, config};
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  std::thread accept_thread{[&server] { server.serve_forever(); }};
+
+  {
+    // More replies than a socket buffer holds, none of them read yet.
+    constexpr std::size_t kRequests = 5000;
+    TestClient flooder{socket_path};
+    ASSERT_TRUE(flooder.connected());
+    std::string requests;
+    for (std::size_t i = 0; i < kRequests; ++i)
+      requests += "{\"type\":\"stats\"}\n";
+    EXPECT_TRUE(flooder.send_raw(requests));
+
+    TestClient other{socket_path, timeval{1, 0}};
+    ASSERT_TRUE(other.connected());
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(pinged(other));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+
+    // Every reply is still delivered once the client reads.
+    std::size_t replies = 0;
+    std::string reply;
+    while (replies < kRequests && flooder.read_line(reply) &&
+           reply.find("\"stats\"") != std::string::npos)
+      ++replies;
+    EXPECT_EQ(replies, kRequests);
   }
 
   server.stop();
